@@ -22,7 +22,8 @@
 
 use std::process::ExitCode;
 
-use lc_lint::render::{corpus_report_json, finding_to_text};
+use lc_driver::trace::corpus_report_json;
+use lc_lint::render::finding_to_text;
 use lc_lint::{lint_source, Finding, LintSet, Severity};
 use lc_service::corpus::corpus72;
 

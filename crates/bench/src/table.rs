@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use lc_driver::json::Json;
+
 /// A rendered experiment table (or one series of a figure).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Table {
@@ -48,55 +50,21 @@ impl Table {
         self.rows.get(row)?.get(c)?.parse().ok()
     }
 
-    /// Render the table as a JSON object (hand-rolled; cells stay strings
-    /// so the output is a faithful transcript of the text table).
+    /// Render the table as a JSON object (cells stay strings so the
+    /// output is a faithful transcript of the text table).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!("\"id\":{},", json_str(self.id)));
-        out.push_str(&format!("\"title\":{},", json_str(&self.title)));
-        out.push_str("\"headers\":[");
-        for (i, h) in self.headers.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&json_str(h));
-        }
-        out.push_str("],\"rows\":[");
-        for (r, row) in self.rows.iter().enumerate() {
-            if r > 0 {
-                out.push(',');
-            }
-            out.push('[');
-            for (i, cell) in row.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&json_str(cell));
-            }
-            out.push(']');
-        }
-        out.push_str("]}");
-        out
+        let strs = |v: &[String]| Json::Arr(v.iter().map(|s| Json::Str(s.clone())).collect());
+        Json::obj(vec![
+            ("id", Json::Str(self.id.into())),
+            ("title", Json::Str(self.title.clone())),
+            ("headers", strs(&self.headers)),
+            (
+                "rows",
+                Json::Arr(self.rows.iter().map(|r| strs(r)).collect()),
+            ),
+        ])
+        .to_string()
     }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 impl fmt::Display for Table {

@@ -86,18 +86,23 @@ pub fn compile_batch<S: AsRef<str> + Sync>(driver: &Driver, sources: &[S]) -> Ve
 
     // `compile_one` already converts panics into per-item errors, so a
     // worker can only die between items; tolerate that instead of
-    // propagating it — every slot a dead worker never reached is
-    // reported below, and the poison-recovering accessors keep the
-    // surviving slots readable.
-    let _ = crossbeam::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|_| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= sources.len() {
-                    break;
-                }
-                *lock_recovering(&slots[i]) = Some(compile_one(driver, sources[i].as_ref()));
-            });
+    // propagating it — every handle is joined and its `Err` ignored, every
+    // slot a dead worker never reached is reported below, and the
+    // poison-recovering accessors keep the surviving slots readable.
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= sources.len() {
+                        break;
+                    }
+                    *lock_recovering(&slots[i]) = Some(compile_one(driver, sources[i].as_ref()));
+                })
+            })
+            .collect();
+        for handle in handles {
+            let _ = handle.join();
         }
     });
 

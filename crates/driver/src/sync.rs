@@ -13,9 +13,9 @@
 //! and keep going. The fuzzer's service mode leans on this — a
 //! malformed request must never take the server down with it.
 //!
-//! These helpers started life in `lc-service`; they moved here (the
-//! lowest crate with a worker pool) so [`crate::batch`] can use them
-//! too, and the service re-exports them unchanged.
+//! They live here, in the lowest crate with a worker pool, so both
+//! [`crate::batch`] and the serving layer's cache, queue and load
+//! generator use them.
 
 use std::sync::{Condvar, Mutex, MutexGuard};
 

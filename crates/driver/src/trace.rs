@@ -436,8 +436,9 @@ pub fn skip_reason_from_json(v: &Json) -> Result<SkipReason, String> {
 }
 
 /// Serialize one `lc-lint` [`Finding`](lc_lint::Finding) as a JSON
-/// object, mirroring `lc_lint::render::finding_to_json`'s key order so
-/// service envelopes and the CLI agree on the schema.
+/// object with a fixed key order (`code`, `slug`, `severity`, `nest`,
+/// `level`, `line`, `message`, `details`). Service envelopes and the
+/// `lc-lint` CLI's corpus report both use it, so they share one schema.
 pub fn finding_to_json(f: &lc_lint::Finding) -> Json {
     let opt = |v: Option<usize>| match v {
         Some(n) => Json::Int(n as i64),
@@ -463,9 +464,33 @@ pub fn finding_to_json(f: &lc_lint::Finding) -> Json {
     ])
 }
 
+/// The corpus report: one `{"index":…,"findings":[…]}` line per
+/// program, wrapped in a JSON array. Committed as
+/// `tests/fixtures/corpus_lints.json` and diffed by CI.
+pub fn corpus_report_json(per_program: &[(usize, Vec<lc_lint::Finding>)]) -> String {
+    let mut out = String::from("[\n");
+    for (i, (index, findings)) in per_program.iter().enumerate() {
+        let line = Json::obj(vec![
+            ("index", Json::Int(*index as i64)),
+            (
+                "findings",
+                Json::Arr(findings.iter().map(finding_to_json).collect()),
+            ),
+        ]);
+        out.push_str(&line.to_string());
+        if i + 1 < per_program.len() {
+            out.push(',');
+        }
+        out.push('\n');
+    }
+    out.push_str("]\n");
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lc_lint::{lint_source, LintCode, LintSet};
 
     #[test]
     fn trace_round_trips_through_json() {
@@ -525,5 +550,35 @@ mod tests {
         assert!(report.contains("coalesce"));
         assert!(report.contains("2 rewrites"));
         assert!(report.contains("analysis cache"));
+    }
+
+    #[test]
+    fn json_escapes_special_characters() {
+        assert_eq!(
+            Json::Str("a\"b\\c\nd".into()).to_string(),
+            "\"a\\\"b\\\\c\\nd\""
+        );
+        assert_eq!(Json::Str("\u{1}".into()).to_string(), "\"\\u0001\"");
+    }
+
+    #[test]
+    fn finding_json_is_single_line_and_stable() {
+        let src = "array A[8];\ndoall i = 2..8 {\n    A[i] = A[i - 1];\n}\n";
+        let f = lint_source(src, &LintSet::default()).unwrap();
+        let racy = f.iter().find(|x| x.code == LintCode::DoallRace).unwrap();
+        let json = finding_to_json(racy).to_string();
+        assert!(!json.contains('\n'));
+        assert!(json.starts_with("{\"code\":\"LC001\",\"slug\":\"doall-race\""));
+        assert!(json.contains("\"line\":2"));
+        assert!(json.contains("\"direction\":\"(<)\""));
+    }
+
+    #[test]
+    fn corpus_report_shape() {
+        let report = corpus_report_json(&[(0, vec![]), (1, vec![])]);
+        assert_eq!(
+            report,
+            "[\n{\"index\":0,\"findings\":[]},\n{\"index\":1,\"findings\":[]}\n]\n"
+        );
     }
 }

@@ -87,9 +87,12 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// FNV-1a over the deterministic parts of every outcome: the digest in
-/// the summary changes iff any case's program, configuration, or verdict
-/// changes.
+/// An FNV-1a-shaped hash over the deterministic parts of every outcome:
+/// the digest in the summary changes iff any case's program,
+/// configuration, or verdict changes. It starts from the FNV-64 offset
+/// basis but multiplies by `0x1000_0000_01b3`, not the FNV-64 prime
+/// `0x100_0000_01b3` that `lc_service::cache::fnv1a` and `Store::digest`
+/// use. The constant stays as is: the digest CI pins depends on it.
 struct Fnv(u64);
 
 impl Fnv {

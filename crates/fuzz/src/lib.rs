@@ -20,6 +20,9 @@
 //!   `lc-service` server and asserts typed 4xx answers: never a 5xx,
 //!   never a hang, and the server still compiles afterwards.
 //!
+//! Every random choice comes from [`rng::Rng`], the workspace's one
+//! splitmix64 stream, re-exported here from [`lc_ir::rng`].
+//!
 //! The `lc-fuzz` binary drives all of it (`--seed`, `--cases`,
 //! `--max-rank`, `--out`, `--service`); its stdout is deterministic for
 //! a given seed, which CI asserts by running twice and diffing.
@@ -29,6 +32,7 @@
 
 pub mod gen;
 pub mod oracle;
-pub mod rng;
 pub mod service_fuzz;
 pub mod shrink;
+
+pub use lc_ir::rng;

@@ -14,6 +14,7 @@ use crate::arith;
 use crate::error::{Error, Result};
 use crate::expr::{ArrayRef, BinOp, Cond, Expr, UnOp};
 use crate::program::Program;
+use crate::rng::Rng;
 use crate::stmt::{Loop, Stmt};
 use crate::symbol::Symbol;
 
@@ -163,19 +164,12 @@ impl Store {
         if nonempty.is_empty() {
             return Vec::new();
         }
-        let mut state = seed;
-        let mut next = move || {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
+        let mut rng = Rng::new(seed);
         let mut out = Vec::with_capacity(count);
         for _ in 0..count {
-            let name = nonempty[(next() % nonempty.len() as u64) as usize];
+            let name = nonempty[(rng.next_u64() % nonempty.len() as u64) as usize];
             let arr = &self.arrays[name];
-            let flat = (next() % arr.data.len() as u64) as usize;
+            let flat = (rng.next_u64() % arr.data.len() as u64) as usize;
             out.push((name.clone(), flat, arr.data[flat]));
         }
         out

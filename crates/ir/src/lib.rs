@@ -11,6 +11,8 @@
 //! * [`interp`] — a reference interpreter over an array store, with an
 //!   optional memory-access trace and configurable `doall` iteration order
 //!   (used to validate that transformed programs are order-independent).
+//! * [`rng`] — the deterministic splitmix64 stream behind seeded stores,
+//!   store sampling, and the fuzzer's generator.
 //! * [`analysis`] — perfect-nest extraction, trip-count/normalization
 //!   checks, affine subscript extraction, and GCD + Banerjee dependence
 //!   testing with direction vectors (DOALL legality).
@@ -51,6 +53,7 @@ pub mod interp;
 pub mod parser;
 pub mod printer;
 pub mod program;
+pub mod rng;
 pub mod stmt;
 pub mod symbol;
 

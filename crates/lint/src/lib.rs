@@ -1070,7 +1070,11 @@ fn scan_escapes(stmts: &[Stmt], poisoned: &mut BTreeSet<Symbol>, definite: bool)
             }
             Stmt::AssignArray { .. } => {}
             Stmt::Loop(l) => {
+                // A scalar a nested doall writes at the end of trip `t`
+                // reaches the reads at the start of trip `t+1`, so the
+                // body starts out poisoned by its own doall writes.
                 let mut inner = poisoned.clone();
+                doall_assigned_scalars(&l.body, false, &mut inner);
                 if !scan_escapes(&l.body, &mut inner, false) {
                     return false;
                 }
@@ -1567,6 +1571,40 @@ mod tests {
         )
         .unwrap();
         assert!(!certifies_order_independent(&p));
+    }
+
+    #[test]
+    fn certify_rejects_scalar_escaping_across_a_serial_loop_back_edge() {
+        // The read of `s` precedes the doall in the body, but the doall's
+        // last writer from trip `t` is what trip `t+1` reads: forward and
+        // reverse doall orders leave different values in B.
+        let src = "
+            array A[8];
+            array B[8];
+            s = 0;
+            for t = 1..3 {
+                B[t] = s;
+                doall i = 1..8 {
+                    s = i;
+                    A[i] = 0;
+                }
+            }
+            ";
+        let p = parse_program(src).unwrap();
+        assert!(!certifies_order_independent(&p));
+
+        let run = |order| {
+            lc_ir::interp::Interp::new()
+                .with_order(order)
+                .run(&p)
+                .unwrap()
+                .digest()
+        };
+        assert_ne!(
+            run(lc_ir::interp::DoallOrder::Forward),
+            run(lc_ir::interp::DoallOrder::Reverse),
+            "the witness must really be order-dependent"
+        );
     }
 
     #[test]

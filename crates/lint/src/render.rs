@@ -1,94 +1,12 @@
-//! Rendering of [`Finding`]s as human-readable text and as
-//! machine-readable JSON.
+//! Human-readable rendering of [`Finding`]s.
 //!
-//! The JSON writer is deliberately tiny and deterministic (fixed key
-//! order, one object per finding) so the CLI's `--format json` output
-//! can be committed as a golden file and diffed byte-for-byte by CI.
+//! The machine-readable form (one JSON object per finding, and the
+//! corpus report the CLI's `--format json` prints) is built by
+//! `lc_driver::trace` on the workspace's one JSON codec.
 
 use std::fmt::Write as _;
 
 use crate::{Finding, Severity};
-
-/// Escape a string for inclusion in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// One finding as a single-line JSON object with a fixed key order.
-pub fn finding_to_json(f: &Finding) -> String {
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{\"code\":\"{}\",\"slug\":\"{}\",\"severity\":\"{}\",\"nest\":{}",
-        f.code.code(),
-        f.code.slug(),
-        f.severity.name(),
-        f.nest
-    );
-    match f.level {
-        Some(l) => {
-            let _ = write!(out, ",\"level\":{l}");
-        }
-        None => out.push_str(",\"level\":null"),
-    }
-    match f.line {
-        Some(l) => {
-            let _ = write!(out, ",\"line\":{l}");
-        }
-        None => out.push_str(",\"line\":null"),
-    }
-    let _ = write!(out, ",\"message\":\"{}\"", json_escape(&f.message));
-    out.push_str(",\"details\":{");
-    for (i, (k, v)) in f.details.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{}\":\"{}\"", json_escape(k), json_escape(v));
-    }
-    out.push_str("}}");
-    out
-}
-
-/// A list of findings as a JSON array (one line).
-pub fn findings_to_json(findings: &[Finding]) -> String {
-    let items: Vec<String> = findings.iter().map(finding_to_json).collect();
-    format!("[{}]", items.join(","))
-}
-
-/// The corpus report: one `{"index":…,"findings":[…]}` line per
-/// program, wrapped in a JSON array. Committed as
-/// `tests/fixtures/corpus_lints.json` and diffed by CI.
-pub fn corpus_report_json(per_program: &[(usize, Vec<Finding>)]) -> String {
-    let mut out = String::from("[\n");
-    for (i, (index, findings)) in per_program.iter().enumerate() {
-        let _ = write!(
-            out,
-            "{{\"index\":{},\"findings\":{}}}",
-            index,
-            findings_to_json(findings)
-        );
-        if i + 1 < per_program.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str("]\n");
-    out
-}
 
 /// Rustc-flavoured text rendering:
 ///
@@ -127,36 +45,6 @@ pub fn finding_to_text(f: &Finding) -> String {
 mod tests {
     use super::*;
     use crate::{lint_source, LintSet};
-
-    #[test]
-    fn json_escapes_special_characters() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
-    }
-
-    #[test]
-    fn finding_json_is_single_line_and_stable() {
-        let src = "array A[8];\ndoall i = 2..8 {\n    A[i] = A[i - 1];\n}\n";
-        let f = lint_source(src, &LintSet::default()).unwrap();
-        let racy = f
-            .iter()
-            .find(|x| x.code == crate::LintCode::DoallRace)
-            .unwrap();
-        let json = finding_to_json(racy);
-        assert!(!json.contains('\n'));
-        assert!(json.starts_with("{\"code\":\"LC001\",\"slug\":\"doall-race\""));
-        assert!(json.contains("\"line\":2"));
-        assert!(json.contains("\"direction\":\"(<)\""));
-    }
-
-    #[test]
-    fn corpus_report_shape() {
-        let report = corpus_report_json(&[(0, vec![]), (1, vec![])]);
-        assert_eq!(
-            report,
-            "[\n{\"index\":0,\"findings\":[]},\n{\"index\":1,\"findings\":[]}\n]\n"
-        );
-    }
 
     #[test]
     fn text_rendering_mentions_code_and_location() {

@@ -1,9 +1,9 @@
 //! Chunk acquisition from a shared counter — the software fetch&add.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 use lc_sched::policy::{Chunk, Dispenser, PolicyKind};
-use parking_lot::Mutex;
 
 /// A thread-safe source of iteration chunks.
 pub trait Grabber: Sync {
@@ -107,6 +107,9 @@ impl Grabber for GuidedGrabber {
 
 /// Stateful policies (TSS, factoring) behind a mutex — the chunk sequence
 /// depends on dispatch history, which an atomic counter cannot carry.
+/// The lock is only held while the dispenser computes the next chunk, so
+/// a panicking loop body never poisons it; a poisoned lock is recovered
+/// anyway, since the dispenser's state is consistent between calls.
 pub struct LockedGrabber {
     inner: Mutex<Dispenser>,
 }
@@ -122,7 +125,10 @@ impl LockedGrabber {
 
 impl Grabber for LockedGrabber {
     fn grab(&self) -> Option<Chunk> {
-        self.inner.lock().grab()
+        self.inner
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .grab()
     }
 }
 
@@ -143,20 +149,18 @@ pub fn make_grabber(n: u64, p: usize, kind: PolicyKind) -> Box<dyn Grabber> {
 mod tests {
     use super::*;
     use std::collections::HashSet;
-    use std::sync::Mutex as StdMutex;
 
     fn drain_parallel(grabber: &dyn Grabber, threads: usize) -> Vec<Chunk> {
-        let chunks = StdMutex::new(Vec::new());
-        crossbeam::scope(|s| {
+        let chunks = Mutex::new(Vec::new());
+        std::thread::scope(|s| {
             for _ in 0..threads {
-                s.spawn(|_| {
+                s.spawn(|| {
                     while let Some(c) = grabber.grab() {
                         chunks.lock().unwrap().push(c);
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         chunks.into_inner().unwrap()
     }
 

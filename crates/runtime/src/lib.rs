@@ -3,7 +3,7 @@
 //! The paper's dispatch mechanism is a hardware fetch&add on a shared
 //! counter; its exact software analogue is [`AtomicU64::fetch_add`] on a
 //! shared iteration counter, which is what this crate runs — on real
-//! threads (crossbeam's scoped threads), on the host machine — so the
+//! threads (`std::thread::scope`), on the host machine — so the
 //! transformation can be demonstrated end-to-end rather than only under
 //! the simulator:
 //!

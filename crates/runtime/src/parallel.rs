@@ -49,12 +49,12 @@ where
     let grabber = make_grabber(n, threads, opts.policy);
     let started = Instant::now();
 
-    let workers: Vec<WorkerStats> = crossbeam::scope(|s| {
+    let workers: Vec<WorkerStats> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
                 let grabber = &grabber;
                 let handler = &handler;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let mut ws = WorkerStats::default();
                     let t0 = Instant::now();
                     while let Some(chunk) = grabber.grab() {
@@ -71,8 +71,7 @@ where
             .into_iter()
             .map(|h| h.join().expect("worker panicked"))
             .collect()
-    })
-    .expect("scope failed");
+    });
 
     RunStats {
         elapsed: started.elapsed(),
@@ -173,6 +172,38 @@ mod tests {
             policy: PolicyKind::Guided,
         };
         assert!(o.resolved_threads() >= 1);
+    }
+
+    #[test]
+    fn body_panic_reaches_the_caller_and_the_runtime_stays_usable() {
+        // SelfSched and Guided dispatch lock-free; Trapezoid goes through
+        // the mutex-guarded `LockedGrabber`.
+        for policy in [
+            PolicyKind::SelfSched,
+            PolicyKind::Guided,
+            PolicyKind::Trapezoid,
+        ] {
+            let o = opts(4, policy);
+            let r = std::panic::catch_unwind(|| {
+                parallel_for(1000, &o, |i| {
+                    if i == 617 {
+                        panic!("boom at {i}");
+                    }
+                })
+            });
+            assert!(r.is_err(), "{policy:?}: panic did not reach the caller");
+
+            let n = 1000u64;
+            let hits: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
+            let stats = parallel_for(n, &o, |i| {
+                hits[i as usize].fetch_add(1, Ordering::Relaxed);
+            });
+            assert!(
+                hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
+                "{policy:?}: rerun missed or duplicated an index"
+            );
+            assert_eq!(stats.total_iterations(), n, "{policy:?}");
+        }
     }
 
     #[test]

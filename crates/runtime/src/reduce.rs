@@ -36,14 +36,14 @@ where
     let grabber = make_grabber(n, threads, opts.policy);
     let started = Instant::now();
 
-    let results: Vec<(WorkerStats, T)> = crossbeam::scope(|s| {
+    let results: Vec<(WorkerStats, T)> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
                 let grabber = &grabber;
                 let map = &map;
                 let fold = &fold;
                 let mut acc = identity.clone();
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let mut ws = WorkerStats::default();
                     let t0 = Instant::now();
                     while let Some(chunk) = grabber.grab() {
@@ -62,8 +62,7 @@ where
             .into_iter()
             .map(|h| h.join().expect("worker panicked"))
             .collect()
-    })
-    .expect("scope failed");
+    });
 
     let mut workers = Vec::with_capacity(threads);
     let mut total = identity;

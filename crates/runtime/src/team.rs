@@ -53,14 +53,14 @@ where
     let barrier = Barrier::new(threads);
     let started = Instant::now();
 
-    let workers: Vec<WorkerStats> = crossbeam::scope(|s| {
+    let workers: Vec<WorkerStats> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
                 let counters = &counters;
                 let prefixes = &prefixes;
                 let barrier = &barrier;
                 let body = &body;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let mut ws = WorkerStats::default();
                     let t0 = Instant::now();
                     let mut iv: Vec<i64> = Vec::with_capacity(prefixes[0].len() + 1);
@@ -88,8 +88,7 @@ where
             .into_iter()
             .map(|h| h.join().expect("worker panicked"))
             .collect()
-    })
-    .expect("scope failed");
+    });
 
     RunStats {
         elapsed: started.elapsed(),

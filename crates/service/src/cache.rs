@@ -19,7 +19,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::sync::lock_recovering;
+use lc_driver::sync::lock_recovering;
 
 /// 64-bit FNV-1a over a byte string.
 pub fn fnv1a(bytes: &[u8]) -> u64 {

@@ -71,6 +71,5 @@ pub mod loadgen;
 pub mod metrics;
 pub mod queue;
 pub mod server;
-pub mod sync;
 
 pub use server::{Server, ServiceConfig};

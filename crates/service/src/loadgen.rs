@@ -11,9 +11,9 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use lc_driver::json::Json;
+use lc_driver::sync::{into_inner_recovering, lock_recovering};
 
 use crate::client;
-use crate::sync::{into_inner_recovering, lock_recovering};
 
 /// Which endpoint the generator drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

@@ -5,13 +5,14 @@
 //! instead of letting latency balloon. Compile workers block in `pop`
 //! until a job arrives or the queue is closed for drain.
 //!
-//! Built on `std::sync::{Mutex, Condvar}` rather than the vendored
-//! `parking_lot` shim, which deliberately omits condition variables.
+//! Built on `std::sync::{Mutex, Condvar}`, with the poison-recovering
+//! helpers from [`lc_driver::sync`] so a panicking holder never wedges
+//! the queue.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 
-use crate::sync::{lock_recovering, wait_recovering};
+use lc_driver::sync::{lock_recovering, wait_recovering};
 
 /// Why a `try_push` was refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

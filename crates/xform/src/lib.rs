@@ -17,14 +17,12 @@
 //!   point handles compile-time and runtime trip counts, choosing the
 //!   recovery form per level: constant strides stay literals, symbolic
 //!   stride products become scalar computations ahead of the loop.
-//! * [`interchange`] / [`stripmine`] — the companion transformations the
-//!   paper positions coalescing against (interchange to move a parallel
-//!   loop outward; strip-mining/chunking to coarsen grain).
-//! * [`distribute`] / [`fuse`] / [`perfect`] — the *enabling*
-//!   transformations: distribution peels imperfect nests apart, fusion
-//!   merges conformable loops back, and perfection sinks pre/post
-//!   statements under first/last-iteration guards so a near-perfect nest
-//!   becomes coalescible (the `omp collapse` trick).
+//! * [`interchange`] — the companion transformation the paper positions
+//!   coalescing against: it moves a parallel loop outward so a serial
+//!   outer level no longer blocks the band.
+//! * [`perfect`] — the *enabling* transformation: perfection sinks
+//!   pre/post statements under first/last-iteration guards so a
+//!   near-perfect nest becomes coalescible (the `omp collapse` trick).
 //! * [`strength`] — common-subexpression extraction over generated
 //!   recovery code (the paper's observation that adjacent indices share
 //!   their ceiling terms).
@@ -61,14 +59,11 @@
 #![forbid(unsafe_code)]
 
 pub mod coalesce;
-pub mod distribute;
-pub mod fuse;
 pub mod interchange;
 pub mod normalize;
 pub mod perfect;
 pub mod recovery;
 pub mod strength;
-pub mod stripmine;
 pub mod transform;
 pub mod validate;
 

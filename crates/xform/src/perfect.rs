@@ -447,11 +447,7 @@ mod tests {
     }
 
     #[test]
-    fn perfect_then_distribute_alternative() {
-        // The same imperfect nest can be handled by distribution instead;
-        // both routes must agree with the original semantics. (Cross-check
-        // of the two enabling transformations.)
-        use crate::distribute::distribute;
+    fn perfection_preserves_imperfect_nest_semantics() {
         let src = "
             array D[6];
             array M[6][7];
@@ -465,23 +461,10 @@ mod tests {
         let p = parse_program(src).unwrap();
         let (idx, l) = loop_of(&p);
 
-        let via_perfect = {
-            let mut p2 = p.clone();
-            p2.body[idx] = Stmt::Loop(perfect_one_level(&l).unwrap());
-            Interp::new().run(&p2).unwrap()
-        };
-        let via_distribute = {
-            let loops = distribute(&l).unwrap();
-            let mut p2 = p.clone();
-            p2.body.remove(idx);
-            for (off, lp) in loops.into_iter().enumerate() {
-                p2.body.insert(idx + off, Stmt::Loop(lp));
-            }
-            Interp::new().run(&p2).unwrap()
-        };
+        let mut p2 = p.clone();
+        p2.body[idx] = Stmt::Loop(perfect_one_level(&l).unwrap());
         let original = Interp::new().run(&p).unwrap();
-        assert_eq!(original, via_perfect);
-        assert_eq!(original, via_distribute);
+        assert_eq!(original, Interp::new().run(&p2).unwrap());
     }
 
     #[test]

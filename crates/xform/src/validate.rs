@@ -13,26 +13,20 @@
 
 use lc_ir::interp::{DoallOrder, Interp, Store};
 use lc_ir::program::Program;
+use lc_ir::rng::Rng;
 use lc_ir::{Error, Result};
 
 /// Build a store for `prog` whose arrays are filled with deterministic
 /// pseudo-random values derived from `seed` (a splitmix64 stream).
 pub fn seeded_store(prog: &Program, seed: u64) -> Store {
     let mut store = Store::for_program(prog);
-    let mut state = seed;
-    let mut next = move || {
-        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    };
+    let mut rng = Rng::new(seed);
     let names: Vec<String> = prog.arrays.iter().map(|a| a.name.to_string()).collect();
     for name in names {
         if let Some(data) = store.data_mut(&name) {
             for v in data {
                 // Small values keep intermediate arithmetic overflow-free.
-                *v = (next() % 2001) as i64 - 1000;
+                *v = (rng.next_u64() % 2001) as i64 - 1000;
             }
         }
     }

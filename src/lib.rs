@@ -15,7 +15,7 @@
 //! | layer | crate | contents |
 //! |---|---|---|
 //! | IR | [`ir`] | loop-nest IR, DSL parser, interpreter, dependence analysis |
-//! | transformation | [`xform`] | coalescing, normalization, interchange, strip-mining, recovery CSE |
+//! | transformation | [`xform`] | coalescing, normalization, interchange, nest perfection, recovery CSE |
 //! | iteration space | [`space`] | strides, linearization, index recovery, odometer |
 //! | scheduling | [`sched`] | SS / CSS / GSS / TSS / factoring policies, dispatch counts, schedule-length bounds |
 //! | machine | [`machine`] | deterministic multiprocessor simulator with fetch&add cost model |

@@ -1,14 +1,11 @@
-//! Integration: the enabling transformations (distribution, perfection,
-//! fusion, interchange) compose with coalescing into full pipelines.
+//! Integration: the enabling transformations (perfection, interchange)
+//! compose with coalescing into full pipelines.
 
-use loop_coalescing::ir::analysis::nest::extract_nest;
 use loop_coalescing::ir::interp::{DoallOrder, Interp};
 use loop_coalescing::ir::parser::parse_program;
 use loop_coalescing::ir::program::Program;
 use loop_coalescing::ir::stmt::{Loop, Stmt};
 use loop_coalescing::xform::coalesce::{coalesce_loop, CoalesceOptions};
-use loop_coalescing::xform::distribute::distribute;
-use loop_coalescing::xform::fuse::fuse;
 use loop_coalescing::xform::interchange::interchange;
 use loop_coalescing::xform::perfect::perfect_one_level;
 
@@ -29,44 +26,10 @@ fn run_all_orders(p: &Program) -> lc_ir::interp::Store {
 }
 
 #[test]
-fn distribute_then_coalesce_pipeline() {
-    // An imperfect nest: prologue + a 2-deep inner nest. Distribution
-    // peels the prologue into its own loop; the rest coalesces to depth 2.
-    let src = "
-        array D[10];
-        array M[10][12];
-        doall i = 1..10 {
-            D[i] = i * i - 3;
-            doall j = 1..12 {
-                M[i][j] = i * 100 + j;
-            }
-        }
-    ";
-    let p = parse_program(src).unwrap();
-    let original = Interp::new().run(&p).unwrap();
-
-    let pieces = distribute(&loop_at(&p, 0)).unwrap();
-    assert_eq!(pieces.len(), 2);
-
-    // Coalesce each piece as deep as it goes.
-    let mut p2 = p.clone();
-    p2.body.clear();
-    for piece in &pieces {
-        let out = coalesce_loop(piece, &CoalesceOptions::default()).unwrap();
-        p2.body.push(Stmt::Loop(out.transformed));
-    }
-    let transformed = run_all_orders(&p2);
-    assert_eq!(original, transformed);
-
-    // And the M piece really did become a 120-iteration single loop.
-    let nest = extract_nest(&loop_at(&p2, 1));
-    assert_eq!(nest.loops[0].const_trip_count(), Some(120));
-}
-
-#[test]
 fn perfect_then_coalesce_pipeline() {
-    // Same shape, via perfection instead: guards keep everything in one
-    // loop, which then coalesces whole (guards and all).
+    // An imperfect nest: prologue + a 2-deep inner nest. Perfection
+    // guards keep everything in one loop, which then coalesces whole
+    // (guards and all).
     let src = "
         array D[10];
         array M[10][12];
@@ -111,81 +74,6 @@ fn interchange_then_coalesce_inner_band() {
 
     let mut p2 = p.clone();
     p2.body[0] = Stmt::Loop(out.transformed);
-    let transformed = Interp::new().run(&p2).unwrap();
-    assert_eq!(original, transformed);
-}
-
-#[test]
-fn fuse_then_coalesce_two_kernels() {
-    // Two conformable 2-deep doall nests over different arrays: fusing the
-    // outer loops, then the (identical-trip) inner loops, yields one
-    // perfect nest that coalesces whole.
-    let src = "
-        array A[6][8];
-        array B[6][8];
-        doall i = 1..6 {
-            doall j = 1..8 {
-                A[i][j] = i + j;
-            }
-        }
-        doall k = 1..6 {
-            doall j = 1..8 {
-                B[k][j] = k * j;
-            }
-        }
-    ";
-    let p = parse_program(src).unwrap();
-    let original = Interp::new().run(&p).unwrap();
-
-    let outer_fused = fuse(&loop_at(&p, 0), &loop_at(&p, 1)).unwrap();
-    // outer_fused body: two inner j loops — fuse those too.
-    let (Stmt::Loop(j1), Stmt::Loop(j2)) = (&outer_fused.body[0], &outer_fused.body[1]) else {
-        panic!("expected two inner loops");
-    };
-    let inner_fused = fuse(j1, j2).unwrap();
-    let full = Loop {
-        body: vec![Stmt::Loop(inner_fused)],
-        ..outer_fused.clone()
-    };
-    let out = coalesce_loop(&full, &CoalesceOptions::default()).unwrap();
-    assert_eq!(out.info.total_iterations, 48);
-
-    let mut p2 = p.clone();
-    p2.body = vec![Stmt::Loop(out.transformed)];
-    p2.arrays = p.arrays.clone();
-    let transformed = run_all_orders(&p2);
-    assert_eq!(original, transformed);
-}
-
-#[test]
-fn distribution_respects_cycles_end_to_end() {
-    // A genuine cross-statement recurrence must survive distribution as a
-    // single loop, and the pipeline must leave it serial.
-    let src = "
-        array A[20];
-        array B[20];
-        array C[20];
-        for i = 2..20 {
-            A[i] = B[i - 1] + 1;
-            B[i] = A[i] * 2;
-            C[i] = i;
-        }
-    ";
-    let p = parse_program(src).unwrap();
-    let original = Interp::new().run(&p).unwrap();
-
-    let pieces = distribute(&loop_at(&p, 0)).unwrap();
-    // C splits off; the A/B cycle stays together.
-    assert_eq!(pieces.len(), 2);
-    let cycle_piece = pieces
-        .iter()
-        .find(|l| l.body.len() == 2)
-        .expect("A/B cycle kept together");
-    assert!(coalesce_loop(cycle_piece, &CoalesceOptions::default()).is_err());
-
-    let mut p2 = p.clone();
-    p2.body = pieces.into_iter().map(Stmt::Loop).collect();
-    p2.arrays = p.arrays.clone();
     let transformed = Interp::new().run(&p2).unwrap();
     assert_eq!(original, transformed);
 }

@@ -5,7 +5,7 @@
 //! lint behavior change cannot land without updating the baseline
 //! (regenerate with `UPDATE_FIXTURE=1 cargo test --test lint_corpus`).
 
-use lc_lint::render::corpus_report_json;
+use lc_driver::trace::corpus_report_json;
 use lc_lint::{lint_source, Finding, LintCode, LintSet, Severity};
 use lc_service::corpus::corpus72;
 
