@@ -9,15 +9,21 @@
 
 use crate::error::{Error, Result};
 
-/// Floor division: largest `q` with `q * b <= a`. Errors on `b == 0`.
+/// Floor division: largest `q` with `q * b <= a`. Errors on `b == 0`, and
+/// with [`Error::Overflow`] on `i64::MIN / -1`, whose quotient `2^63` has no
+/// `i64` representation.
 pub fn floor_div(a: i64, b: i64) -> Result<i64> {
     if b == 0 {
         return Err(Error::DivisionByZero);
     }
+    if a == i64::MIN && b == -1 {
+        return Err(Error::Overflow);
+    }
     Ok(floor_div_unchecked(a, b))
 }
 
-/// Floor division without the zero check (callers guarantee `b != 0`).
+/// Floor division without the checks (callers guarantee `b != 0` and not
+/// `(i64::MIN, -1)`; either panics).
 #[inline]
 pub fn floor_div_unchecked(a: i64, b: i64) -> i64 {
     let q = a / b;
@@ -28,15 +34,20 @@ pub fn floor_div_unchecked(a: i64, b: i64) -> i64 {
     }
 }
 
-/// Ceiling division: smallest `q` with `q * b >= a`. Errors on `b == 0`.
+/// Ceiling division: smallest `q` with `q * b >= a`. Errors on `b == 0`, and
+/// with [`Error::Overflow`] on `i64::MIN / -1`.
 pub fn ceil_div(a: i64, b: i64) -> Result<i64> {
     if b == 0 {
         return Err(Error::DivisionByZero);
     }
+    if a == i64::MIN && b == -1 {
+        return Err(Error::Overflow);
+    }
     Ok(ceil_div_unchecked(a, b))
 }
 
-/// Ceiling division without the zero check (callers guarantee `b != 0`).
+/// Ceiling division without the checks (callers guarantee `b != 0` and not
+/// `(i64::MIN, -1)`; either panics).
 #[inline]
 pub fn ceil_div_unchecked(a: i64, b: i64) -> i64 {
     let q = a / b;
@@ -48,12 +59,19 @@ pub fn ceil_div_unchecked(a: i64, b: i64) -> i64 {
 }
 
 /// Mathematical modulus with the sign of the divisor's magnitude:
-/// `a - floor_div(a, b) * b`, always in `0..|b|` for positive `b`.
+/// `a - floor_div(a, b) * b`, always in `0..|b|` for positive `b`. Never
+/// overflows: the remainder always fits, so `i64::MIN % -1` is `0` even
+/// though the matching quotient does not exist.
 pub fn floor_mod(a: i64, b: i64) -> Result<i64> {
     if b == 0 {
         return Err(Error::DivisionByZero);
     }
-    Ok(a - floor_div_unchecked(a, b) * b)
+    let r = a.wrapping_rem(b);
+    Ok(if r != 0 && (r < 0) != (b < 0) {
+        r + b
+    } else {
+        r
+    })
 }
 
 /// Greatest common divisor (non-negative; `gcd(0, 0) == 0`).
@@ -116,6 +134,31 @@ mod tests {
         assert!(floor_div(5, 0).is_err());
         assert!(ceil_div(5, 0).is_err());
         assert!(floor_mod(5, 0).is_err());
+    }
+
+    #[test]
+    fn min_over_minus_one_is_an_overflow_not_a_panic() {
+        assert_eq!(floor_div(i64::MIN, -1), Err(Error::Overflow));
+        assert_eq!(ceil_div(i64::MIN, -1), Err(Error::Overflow));
+        assert_eq!(floor_mod(i64::MIN, -1), Ok(0));
+        // The neighbours still divide exactly.
+        assert_eq!(floor_div(i64::MIN + 1, -1), Ok(i64::MAX));
+        assert_eq!(floor_div(i64::MIN, 1), Ok(i64::MIN));
+    }
+
+    #[test]
+    fn floor_mod_matches_its_definition_at_the_extremes() {
+        // `a - floor(a / b) * b`, computed where nothing can overflow.
+        let wide = |a: i64, b: i64| {
+            let (a, b) = (a as i128, b as i128);
+            let q = a / b - i128::from(a % b != 0 && (a < 0) != (b < 0));
+            (a - q * b) as i64
+        };
+        for a in [i64::MIN, i64::MIN + 1, -7, -1, 0, 1, 7, i64::MAX] {
+            for b in [i64::MIN, -7, -2, -1, 2, 7, i64::MAX] {
+                assert_eq!(floor_mod(a, b), Ok(wide(a, b)), "floor_mod({a},{b})");
+            }
+        }
     }
 
     #[test]

@@ -185,6 +185,10 @@ impl ExprBuilder {
     /// are emitted in dependency order ahead of the original statements.
     /// Returns the number of temporaries introduced.
     ///
+    /// A subterm that reads a scalar the block itself assigns is never
+    /// hoisted: its temporary would run before that assignment and read
+    /// a stale (or unbound) value.
+    ///
     /// This is the paper's recovery strength reduction: adjacent ceiling
     /// formulas share their `⌈j/P⌉` terms, and interning each shared
     /// division roughly halves the per-iteration division count for deep
@@ -193,6 +197,18 @@ impl ExprBuilder {
         let mut temps: Vec<Stmt> = Vec::new();
         let work = &mut self.stmts;
         let mut hoisted = 0usize;
+        let assigned: Vec<Symbol> = work
+            .iter()
+            .filter_map(|s| match s {
+                Stmt::AssignScalar { var, .. } => Some(var.clone()),
+                _ => None,
+            })
+            .collect();
+        let reads_assigned = |e: &Expr| {
+            let mut vars = Vec::new();
+            e.variables(&mut vars);
+            vars.iter().any(|v| assigned.contains(v))
+        };
 
         loop {
             // Count division-bearing subexpressions across all current
@@ -218,8 +234,10 @@ impl ExprBuilder {
             // maximum it sees, and iterating the HashMap directly would
             // let the per-instance hash seed decide equal-profit ties,
             // making temp numbering differ between identical compiles.
-            let mut candidates: Vec<(Expr, usize)> =
-                counts.into_iter().filter(|(_, c)| *c >= 2).collect();
+            let mut candidates: Vec<(Expr, usize)> = counts
+                .into_iter()
+                .filter(|(e, c)| *c >= 2 && !reads_assigned(e))
+                .collect();
             candidates.sort_by_cached_key(|(e, _)| crate::printer::print_expr(e));
             let best = candidates.into_iter().max_by_key(|(e, c)| {
                 (
@@ -414,6 +432,28 @@ mod tests {
                 defined.push(var.as_str());
             }
         }
+    }
+
+    #[test]
+    fn interning_never_hoists_a_read_of_a_scalar_the_block_assigns() {
+        // t0 = a + 1; x = t0 / 2 + 1; y = t0 / 2 * 3;
+        // Hoisting `t0 / 2` would compute it before `t0` is assigned.
+        let half = || Expr::var("t0").floor_div(Expr::lit(2));
+        let mut b = ExprBuilder::new();
+        b.assign("t0", Expr::var("a") + Expr::lit(1));
+        b.assign("x", half() + Expr::lit(1));
+        b.assign("y", half() * Expr::lit(3));
+        let before = b.stmts().to_vec();
+        assert_eq!(b.intern_shared_divisions("cse"), 0);
+        assert_eq!(b.stmts(), &before[..]);
+
+        // A shared division of a block input is still hoisted.
+        let shared = || Expr::var("a").floor_div(Expr::lit(2));
+        let mut b = ExprBuilder::new();
+        b.assign("t0", shared() + Expr::lit(1));
+        b.assign("x", shared() + Expr::var("t0"));
+        assert_eq!(b.intern_shared_divisions("cse"), 1);
+        assert_eq!(b.stmts()[0], Stmt::assign("cse0", shared()));
     }
 
     #[test]

@@ -226,9 +226,9 @@ impl Expr {
                         BinOp::Add => x.checked_add(y),
                         BinOp::Sub => x.checked_sub(y),
                         BinOp::Mul => x.checked_mul(y),
-                        BinOp::Div => (y != 0).then(|| arith::floor_div_unchecked(x, y)),
-                        BinOp::Mod => (y != 0).then(|| x - arith::floor_div_unchecked(x, y) * y),
-                        BinOp::CeilDiv => (y != 0).then(|| arith::ceil_div_unchecked(x, y)),
+                        BinOp::Div => arith::floor_div(x, y).ok(),
+                        BinOp::Mod => arith::floor_mod(x, y).ok(),
+                        BinOp::CeilDiv => arith::ceil_div(x, y).ok(),
                         BinOp::Min => Some(x.min(y)),
                         BinOp::Max => Some(x.max(y)),
                     };
@@ -444,6 +444,17 @@ mod tests {
     fn fold_does_not_hide_division_by_zero() {
         let e = Expr::lit(5).floor_div(Expr::lit(0)).fold();
         assert!(matches!(e, Expr::Binary(BinOp::Div, _, _)));
+    }
+
+    #[test]
+    fn fold_leaves_min_over_minus_one_unfolded() {
+        let min = || Expr::lit(i64::MIN);
+        for op in [BinOp::Div, BinOp::CeilDiv] {
+            let e = Expr::Binary(op, Box::new(min()), Box::new(Expr::lit(-1))).fold();
+            assert!(matches!(e, Expr::Binary(o, _, _) if o == op), "{op:?}");
+        }
+        // The remainder exists, so it folds.
+        assert_eq!(min().floor_mod(Expr::lit(-1)).fold(), Expr::Const(0));
     }
 
     #[test]

@@ -7,12 +7,60 @@
 //! validation can additionally check order-*independence* — a coalesced
 //! `doall` must produce the same store under forward, reverse, and shuffled
 //! execution.
+//!
+//! # Lowering
+//!
+//! A program is not walked as a tree of [`Expr`]/[`Stmt`] nodes. It is
+//! lowered once into a [`Lowered`] handle, and every run executes that:
+//!
+//! * **scalars become frame slots** — each name gets a dense index into a
+//!   `Vec<Option<i64>>`, where `None` is "unbound", so reading a scalar
+//!   before it is assigned is still [`Error::UnboundVariable`], and a loop
+//!   variable's previous binding (or unboundness) is restored on exit;
+//! * **arrays become dense ids** — lowering performs [`Program::check`]'s
+//!   duplicate, unknown-array and rank checks, in the same order, and each
+//!   run binds the ids to the store's arrays with precomputed extents and
+//!   row-major strides;
+//! * **loops become counted ranges** — the trip count is computed
+//!   arithmetically from the bounds, so a trip count above the step budget
+//!   fails with [`Error::StepBudgetExceeded`] before any iteration runs,
+//!   and forward and reverse orders iterate without materializing the
+//!   index sequence. `Shuffled(seed)` fills a buffer reused across loops
+//!   and applies the xorshift Fisher–Yates shuffle, so each seed gives the
+//!   same permutation it always has;
+//! * **expressions become closures** — each operator node is a closure for
+//!   that operator, with constant and scalar operands captured, so
+//!   evaluation dispatches once per inner node and never on leaves.
+//!
+//! Validation runs one program under several orders, so it lowers once and
+//! calls [`Interp::run_lowered`] per order; [`Interp::run_on`] lowers and
+//! runs in one call.
+//!
+//! # Invariants
+//!
+//! The executor's observable behaviour is fixed, because simulated costs,
+//! the fuzzer's digest and validation verdicts all read it:
+//!
+//! * `steps` ticks once per executed statement (a loop statement counts
+//!   once for its header) and once per loop iteration;
+//! * `ops` adds [`BinOp::op_cost`] per binary operator, 1 per negation,
+//!   and 1 per array read, scalar store and array store. The executor
+//!   charges each statement's (and each loop header's and comparison's)
+//!   total, [`Expr::op_cost`] computed at lowering, once it has evaluated
+//!   its expressions: a completed evaluation runs every operator exactly
+//!   once, and a failed run reports no stats;
+//! * evaluation order, and so which error wins: an assignment evaluates
+//!   its value before the target's subscripts; subscripts evaluate left to
+//!   right before the array is looked up and bounds-checked; a loop
+//!   evaluates lower, then upper, then step, then rejects a zero step;
+//! * traced accesses carry the `(loop variable, index)` pairs of every
+//!   active loop, outermost first.
 
 use std::collections::HashMap;
 
 use crate::arith;
 use crate::error::{Error, Result};
-use crate::expr::{ArrayRef, BinOp, Cond, Expr, UnOp};
+use crate::expr::{ArrayRef, BinOp, CmpOp, Cond, Expr, UnOp};
 use crate::program::Program;
 use crate::rng::Rng;
 use crate::stmt::{Loop, Stmt};
@@ -247,16 +295,6 @@ impl Default for Interp {
     }
 }
 
-struct Frame {
-    store: Store,
-    scalars: HashMap<Symbol, i64>,
-    loop_stack: Vec<(Symbol, i64)>,
-    stats: ExecStats,
-    budget: u64,
-    order: DoallOrder,
-    trace: bool,
-}
-
 impl Interp {
     /// Default configuration.
     pub fn new() -> Self {
@@ -293,227 +331,606 @@ impl Interp {
     /// contain the program's arrays, e.g. via [`Store::for_program`] plus
     /// bulk initialization). Returns the final store and execution stats.
     pub fn run_on(&self, prog: &Program, store: Store) -> Result<(Store, ExecStats)> {
-        prog.check()?;
-        let mut frame = Frame {
-            store,
-            scalars: HashMap::new(),
+        self.run_lowered(&Lowered::new(prog)?, store)
+    }
+
+    /// Run an already-lowered program starting from the supplied store;
+    /// otherwise identical to [`Interp::run_on`]. Lowering once and calling
+    /// this per configuration skips the per-run lowering.
+    pub fn run_lowered(&self, code: &Lowered, mut store: Store) -> Result<(Store, ExecStats)> {
+        let mut mem: Vec<Option<Bound>> = code
+            .arrays
+            .iter()
+            .map(|name| store.arrays.remove(name).map(Bound::new))
+            .collect();
+        let mut exec = Exec {
+            code,
+            slots: vec![None; code.slots.len()],
+            order_buf: Vec::new(),
             loop_stack: Vec::new(),
             stats: ExecStats::default(),
             budget: self.step_budget,
             order: self.doall_order,
             trace: self.trace,
         };
-        exec_stmts(&mut frame, &prog.body)?;
-        Ok((frame.store, frame.stats))
-    }
-}
-
-fn tick(frame: &mut Frame) -> Result<()> {
-    frame.stats.steps += 1;
-    if frame.stats.steps > frame.budget {
-        Err(Error::StepBudgetExceeded {
-            budget: frame.budget,
-        })
-    } else {
-        Ok(())
-    }
-}
-
-fn eval(frame: &mut Frame, e: &Expr) -> Result<i64> {
-    match e {
-        Expr::Const(v) => Ok(*v),
-        Expr::Var(s) => frame
-            .scalars
-            .get(s)
-            .copied()
-            .ok_or_else(|| Error::UnboundVariable(s.clone())),
-        Expr::Read(r) => {
-            let flat = resolve_ref(frame, r)?;
-            frame.stats.ops += 1; // memory load
-            if frame.trace {
-                let iteration = frame.loop_stack.clone();
-                frame.stats.trace.push(Access {
-                    kind: AccessKind::Read,
-                    array: r.array.clone(),
-                    flat,
-                    iteration,
-                });
-            }
-            Ok(frame.store.arrays[&r.array].data[flat])
-        }
-        Expr::Unary(UnOp::Neg, a) => {
-            let v = eval(frame, a)?;
-            frame.stats.ops += 1;
-            v.checked_neg().ok_or(Error::Overflow)
-        }
-        Expr::Binary(op, a, b) => {
-            let x = eval(frame, a)?;
-            let y = eval(frame, b)?;
-            frame.stats.ops += op.op_cost();
-            match op {
-                BinOp::Add => x.checked_add(y).ok_or(Error::Overflow),
-                BinOp::Sub => x.checked_sub(y).ok_or(Error::Overflow),
-                BinOp::Mul => x.checked_mul(y).ok_or(Error::Overflow),
-                BinOp::Div => arith::floor_div(x, y),
-                BinOp::Mod => arith::floor_mod(x, y),
-                BinOp::CeilDiv => arith::ceil_div(x, y),
-                BinOp::Min => Ok(x.min(y)),
-                BinOp::Max => Ok(x.max(y)),
+        exec.block(&mut mem, &code.body).map_err(|e| *e)?;
+        for (name, bound) in code.arrays.iter().zip(mem) {
+            if let Some(b) = bound {
+                store.arrays.insert(name.clone(), b.array);
             }
         }
+        Ok((store, exec.stats))
     }
 }
 
-fn resolve_ref(frame: &mut Frame, r: &ArrayRef) -> Result<usize> {
-    let mut indices = Vec::with_capacity(r.indices.len());
-    for ix in &r.indices {
-        indices.push(eval(frame, ix)?);
-    }
-    let arr = frame
-        .store
-        .arrays
-        .get(&r.array)
-        .ok_or_else(|| Error::UnknownArray(r.array.clone()))?;
-    arr.flat_index(&r.array, &indices)
+/// A program lowered for execution: scalars resolved to frame slots,
+/// arrays to dense ids, loops to counted ranges (see the module docs).
+///
+/// Lowering checks the program as [`Program::check`] does, so a `Lowered`
+/// always describes a well-formed program; it holds no store and can be
+/// run any number of times, under any [`Interp`] configuration, through
+/// [`Interp::run_lowered`].
+pub struct Lowered {
+    /// Array name per id, in declaration order.
+    arrays: Vec<Symbol>,
+    /// Scalar name per slot, in order of first mention.
+    slots: Vec<Symbol>,
+    body: Vec<LStmt>,
 }
 
-fn eval_cond(frame: &mut Frame, c: &Cond) -> Result<bool> {
-    match c {
-        Cond::Cmp(op, a, b) => {
-            let x = eval(frame, a)?;
-            let y = eval(frame, b)?;
-            Ok(op.apply(x, y))
-        }
-        Cond::Not(c) => Ok(!eval_cond(frame, c)?),
-        Cond::And(a, b) => Ok(eval_cond(frame, a)? && eval_cond(frame, b)?),
-        Cond::Or(a, b) => Ok(eval_cond(frame, a)? || eval_cond(frame, b)?),
+/// A lowered expression. Constants and scalar reads stay data, so a
+/// parent evaluates them inline; every other node is a closure built for
+/// its operator, with constant and scalar operands captured directly.
+enum LExpr {
+    Const(i64),
+    Slot(usize),
+    Node(Node),
+}
+
+type Node = Box<dyn Fn(&mut Exec<'_>, &[Option<Bound>]) -> Run<i64> + Send + Sync>;
+
+struct LRef {
+    array: usize,
+    indices: Vec<LExpr>,
+}
+
+/// Lowered conditions. A comparison carries the [`Expr::op_cost`] of both
+/// operands, charged when it is evaluated.
+enum LCond {
+    Cmp(CmpOp, LExpr, LExpr, u64),
+    Not(Box<LCond>),
+    And(Box<LCond>, Box<LCond>),
+    Or(Box<LCond>, Box<LCond>),
+}
+
+/// Lowered statements. Assignments carry their whole `ops` charge —
+/// [`Expr::op_cost`] of every expression they evaluate plus 1 for the
+/// store — because a statement that completes evaluates each of its
+/// operators exactly once, and a run that fails reports no stats.
+enum LStmt {
+    Scalar {
+        slot: usize,
+        value: LExpr,
+        ops: u64,
+    },
+    Store {
+        target: LRef,
+        value: LExpr,
+        ops: u64,
+    },
+    Loop(Box<LLoop>),
+    If {
+        cond: LCond,
+        then_body: Vec<LStmt>,
+        else_body: Vec<LStmt>,
+    },
+}
+
+struct LLoop {
+    slot: usize,
+    lower: LExpr,
+    upper: LExpr,
+    step: LExpr,
+    /// `ops` charge of evaluating the three header expressions.
+    header_ops: u64,
+    doall: bool,
+    body: Vec<LStmt>,
+}
+
+impl std::fmt::Debug for Lowered {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Lowered")
+            .field("arrays", &self.arrays)
+            .field("slots", &self.slots)
+            .finish_non_exhaustive()
     }
 }
 
-fn exec_stmts(frame: &mut Frame, stmts: &[Stmt]) -> Result<()> {
-    for s in stmts {
-        exec_stmt(frame, s)?;
-    }
-    Ok(())
-}
-
-fn exec_stmt(frame: &mut Frame, s: &Stmt) -> Result<()> {
-    tick(frame)?;
-    match s {
-        Stmt::AssignScalar { var, value } => {
-            let v = eval(frame, value)?;
-            frame.stats.ops += 1; // scalar store
-            frame.scalars.insert(var.clone(), v);
-            Ok(())
-        }
-        Stmt::AssignArray { target, value } => {
-            let v = eval(frame, value)?;
-            let flat = resolve_ref(frame, target)?;
-            frame.stats.ops += 1; // memory store
-            if frame.trace {
-                let iteration = frame.loop_stack.clone();
-                frame.stats.trace.push(Access {
-                    kind: AccessKind::Write,
-                    array: target.array.clone(),
-                    flat,
-                    iteration,
-                });
-            }
-            frame
-                .store
-                .arrays
-                .get_mut(&target.array)
-                .expect("checked by resolve_ref")
-                .data[flat] = v;
-            Ok(())
-        }
-        Stmt::Loop(l) => exec_loop(frame, l),
-        Stmt::If {
-            cond,
-            then_body,
-            else_body,
-        } => {
-            if eval_cond(frame, cond)? {
-                exec_stmts(frame, then_body)
-            } else {
-                exec_stmts(frame, else_body)
-            }
-        }
-    }
-}
-
-fn exec_loop(frame: &mut Frame, l: &Loop) -> Result<()> {
-    let lo = eval(frame, &l.lower)?;
-    let hi = eval(frame, &l.upper)?;
-    let step = eval(frame, &l.step)?;
-    if step == 0 {
-        return Err(Error::ZeroStep(l.var.clone()));
-    }
-
-    // Materialize the index sequence. Loops in this IR are counted and
-    // bounded by the step budget, so this is fine for test-scale programs.
-    let mut indices = Vec::new();
-    let mut i = lo;
-    loop {
-        if (step > 0 && i > hi) || (step < 0 && i < hi) {
-            break;
-        }
-        indices.push(i);
-        i = match i.checked_add(step) {
-            Some(n) => n,
-            None => break,
+impl Lowered {
+    /// Lower `prog`, failing with the error [`Program::check`] would report
+    /// for an ill-formed program.
+    pub fn new(prog: &Program) -> Result<Lowered> {
+        let mut lower = Lowerer {
+            prog,
+            array_ids: HashMap::with_capacity(prog.arrays.len()),
+            slot_ids: HashMap::new(),
+            slots: Vec::new(),
         };
-        if indices.len() as u64 > frame.budget {
-            return Err(Error::StepBudgetExceeded {
-                budget: frame.budget,
+        for (id, decl) in prog.arrays.iter().enumerate() {
+            if lower.array_ids.insert(decl.name.clone(), id).is_some() {
+                return Err(Error::DuplicateArray(decl.name.clone()));
+            }
+        }
+        let body = lower.block(&prog.body)?;
+        Ok(Lowered {
+            arrays: prog.arrays.iter().map(|a| a.name.clone()).collect(),
+            slots: lower.slots,
+            body,
+        })
+    }
+}
+
+struct Lowerer<'p> {
+    prog: &'p Program,
+    array_ids: HashMap<Symbol, usize>,
+    slot_ids: HashMap<Symbol, usize>,
+    slots: Vec<Symbol>,
+}
+
+impl Lowerer<'_> {
+    fn slot(&mut self, name: &Symbol) -> usize {
+        if let Some(&s) = self.slot_ids.get(name) {
+            return s;
+        }
+        let s = self.slots.len();
+        self.slots.push(name.clone());
+        self.slot_ids.insert(name.clone(), s);
+        s
+    }
+
+    fn array_ref(&mut self, r: &ArrayRef) -> Result<LRef> {
+        let Some(&array) = self.array_ids.get(&r.array) else {
+            return Err(Error::UnknownArray(r.array.clone()));
+        };
+        let expected = self.prog.arrays[array].dims.len();
+        if expected != r.indices.len() {
+            return Err(Error::RankMismatch {
+                array: r.array.clone(),
+                expected,
+                got: r.indices.len(),
             });
         }
+        let indices = r
+            .indices
+            .iter()
+            .map(|ix| self.expr(ix))
+            .collect::<Result<_>>()?;
+        Ok(LRef { array, indices })
     }
 
-    if l.kind.is_doall() {
-        apply_order(&mut indices, frame.order);
+    fn expr(&mut self, e: &Expr) -> Result<LExpr> {
+        Ok(match e {
+            Expr::Const(v) => LExpr::Const(*v),
+            Expr::Var(s) => LExpr::Slot(self.slot(s)),
+            Expr::Read(r) => {
+                let r = self.array_ref(r)?;
+                LExpr::Node(Box::new(move |ex, mem| {
+                    let (bound, flat) = ex.resolve(mem, &r)?;
+                    if ex.trace {
+                        ex.record(AccessKind::Read, r.array, flat);
+                    }
+                    Ok(bound.array.data[flat])
+                }))
+            }
+            Expr::Unary(UnOp::Neg, a) => {
+                let a = self.expr(a)?;
+                LExpr::Node(Box::new(move |ex, mem| {
+                    match ex.expr(mem, &a)?.checked_neg() {
+                        Some(v) => Ok(v),
+                        None => Err(Box::new(Error::Overflow)),
+                    }
+                }))
+            }
+            Expr::Binary(op, a, b) => {
+                let (a, b) = (self.expr(a)?, self.expr(b)?);
+                let checked = |v: Option<i64>| v.ok_or(Error::Overflow);
+                match op {
+                    BinOp::Add => binary(a, b, move |x, y| checked(x.checked_add(y))),
+                    BinOp::Sub => binary(a, b, move |x, y| checked(x.checked_sub(y))),
+                    BinOp::Mul => binary(a, b, move |x, y| checked(x.checked_mul(y))),
+                    BinOp::Div => binary(a, b, arith::floor_div),
+                    BinOp::Mod => binary(a, b, arith::floor_mod),
+                    BinOp::CeilDiv => binary(a, b, arith::ceil_div),
+                    BinOp::Min => binary(a, b, |x, y| Ok(x.min(y))),
+                    BinOp::Max => binary(a, b, |x, y| Ok(x.max(y))),
+                }
+            }
+        })
     }
 
-    let saved = frame.scalars.get(&l.var).copied();
-    for ix in indices {
-        tick(frame)?;
-        frame.scalars.insert(l.var.clone(), ix);
-        frame.loop_stack.push((l.var.clone(), ix));
-        let r = exec_stmts(frame, &l.body);
-        frame.loop_stack.pop();
-        r?;
+    fn cond(&mut self, c: &Cond) -> Result<LCond> {
+        Ok(match c {
+            Cond::Cmp(op, a, b) => {
+                LCond::Cmp(*op, self.expr(a)?, self.expr(b)?, a.op_cost() + b.op_cost())
+            }
+            Cond::Not(c) => LCond::Not(Box::new(self.cond(c)?)),
+            Cond::And(a, b) => LCond::And(Box::new(self.cond(a)?), Box::new(self.cond(b)?)),
+            Cond::Or(a, b) => LCond::Or(Box::new(self.cond(a)?), Box::new(self.cond(b)?)),
+        })
     }
-    // Restore shadowed binding (the loop variable goes out of scope).
-    match saved {
-        Some(v) => {
-            frame.scalars.insert(l.var.clone(), v);
-        }
-        None => {
-            frame.scalars.remove(&l.var);
-        }
+
+    fn block(&mut self, stmts: &[Stmt]) -> Result<Vec<LStmt>> {
+        stmts.iter().map(|s| self.stmt(s)).collect()
     }
-    Ok(())
+
+    fn stmt(&mut self, s: &Stmt) -> Result<LStmt> {
+        Ok(match s {
+            Stmt::AssignScalar { var, value } => LStmt::Scalar {
+                value: self.expr(value)?,
+                slot: self.slot(var),
+                ops: value.op_cost() + 1,
+            },
+            Stmt::AssignArray { target, value } => LStmt::Store {
+                target: self.array_ref(target)?,
+                value: self.expr(value)?,
+                ops: target.indices.iter().map(Expr::op_cost).sum::<u64>() + value.op_cost() + 1,
+            },
+            Stmt::Loop(l) => LStmt::Loop(Box::new(self.counted(l)?)),
+            Stmt::If {
+                cond,
+                then_body,
+                else_body,
+            } => LStmt::If {
+                cond: self.cond(cond)?,
+                then_body: self.block(then_body)?,
+                else_body: self.block(else_body)?,
+            },
+        })
+    }
+
+    fn counted(&mut self, l: &Loop) -> Result<LLoop> {
+        Ok(LLoop {
+            lower: self.expr(&l.lower)?,
+            upper: self.expr(&l.upper)?,
+            step: self.expr(&l.step)?,
+            header_ops: l.lower.op_cost() + l.upper.op_cost() + l.step.op_cost(),
+            body: self.block(&l.body)?,
+            slot: self.slot(&l.var),
+            doall: l.kind.is_doall(),
+        })
+    }
 }
 
-fn apply_order(indices: &mut [i64], order: DoallOrder) {
-    match order {
-        DoallOrder::Forward => {}
-        DoallOrder::Reverse => indices.reverse(),
-        DoallOrder::Shuffled(seed) => {
-            // Fisher–Yates with a xorshift64* generator: deterministic, no
-            // external dependency in the library crate.
-            let mut state = seed | 1;
-            let mut next = || {
-                state ^= state >> 12;
-                state ^= state << 25;
-                state ^= state >> 27;
-                state.wrapping_mul(0x2545_F491_4F6C_DD1D)
-            };
-            for i in (1..indices.len()).rev() {
-                let j = (next() % (i as u64 + 1)) as usize;
-                indices.swap(i, j);
+/// The closure for `a op b`, where `op` is `f`. The commonest operand
+/// shapes in loop bodies and recovery code — a scalar or a subtree against
+/// a constant — get closures that skip evaluating the constant.
+fn binary<F>(a: LExpr, b: LExpr, f: F) -> LExpr
+where
+    F: Fn(i64, i64) -> Result<i64> + Send + Sync + 'static,
+{
+    LExpr::Node(match (a, b) {
+        (LExpr::Slot(s), LExpr::Const(k)) => Box::new(move |ex, _| Ok(f(ex.slot(s)?, k)?)),
+        (LExpr::Node(n), LExpr::Const(k)) => Box::new(move |ex, mem| Ok(f(n(ex, mem)?, k)?)),
+        (a, b) => Box::new(move |ex, mem| {
+            let x = ex.expr(mem, &a)?;
+            let y = ex.expr(mem, &b)?;
+            Ok(f(x, y)?)
+        }),
+    })
+}
+
+/// A store array bound to its lowered id for one run.
+struct Bound {
+    array: Array,
+    /// Row-major stride of each dimension.
+    strides: Vec<usize>,
+}
+
+impl Bound {
+    fn new(array: Array) -> Bound {
+        let mut strides = vec![1usize; array.dims.len()];
+        for d in (1..array.dims.len()).rev() {
+            strides[d - 1] = strides[d].saturating_mul(array.dims[d]);
+        }
+        Bound { array, strides }
+    }
+}
+
+/// Errors travel boxed inside the executor: a thin `Result` keeps every
+/// evaluation's return value in registers.
+type Run<T> = std::result::Result<T, Box<Error>>;
+
+/// One run's mutable state. The bound arrays are passed alongside rather
+/// than stored here, so subscripts can be evaluated (mutating the stats)
+/// while an array binding is borrowed.
+struct Exec<'c> {
+    code: &'c Lowered,
+    slots: Vec<Option<i64>>,
+    /// Index sequences of the `Shuffled` loops currently running, stacked.
+    order_buf: Vec<i64>,
+    /// Active `(loop variable, index)` pairs; maintained only when tracing.
+    loop_stack: Vec<(Symbol, i64)>,
+    stats: ExecStats,
+    budget: u64,
+    order: DoallOrder,
+    trace: bool,
+}
+
+impl Exec<'_> {
+    #[inline]
+    fn tick(&mut self) -> Run<()> {
+        self.stats.steps += 1;
+        if self.stats.steps > self.budget {
+            return Err(Box::new(Error::StepBudgetExceeded {
+                budget: self.budget,
+            }));
+        }
+        Ok(())
+    }
+
+    /// Evaluate `e`: constants and scalars inline, other nodes through
+    /// their closure. (`ops` is charged per statement, not here.)
+    #[inline]
+    fn expr(&mut self, mem: &[Option<Bound>], e: &LExpr) -> Run<i64> {
+        match e {
+            LExpr::Const(v) => Ok(*v),
+            LExpr::Slot(s) => self.slot(*s),
+            LExpr::Node(n) => n(self, mem),
+        }
+    }
+
+    #[inline]
+    fn slot(&self, s: usize) -> Run<i64> {
+        match self.slots[s] {
+            Some(v) => Ok(v),
+            None => Err(self.unbound(s)),
+        }
+    }
+
+    #[cold]
+    fn unbound(&self, slot: usize) -> Box<Error> {
+        Box::new(Error::UnboundVariable(self.code.slots[slot].clone()))
+    }
+
+    /// The array binding and flat offset `r` addresses. Every subscript
+    /// is evaluated before the first out-of-bounds one is reported.
+    #[inline]
+    fn resolve<'m>(&mut self, mem: &'m [Option<Bound>], r: &LRef) -> Run<(&'m Bound, usize)> {
+        let bound = mem[r.array].as_ref();
+        let Some(b) = bound.filter(|b| b.array.dims.len() == r.indices.len()) else {
+            return Err(self.resolve_unbound(mem, r));
+        };
+        let mut flat = 0usize;
+        let mut out_of_bounds = None;
+        let dims = b.array.dims.iter().zip(&b.strides);
+        for (d, (ix, (&extent, &stride))) in r.indices.iter().zip(dims).enumerate() {
+            let v = self.expr(mem, ix)?;
+            // One unsigned compare covers both `v < 1` and `v > extent`.
+            let offset = (v as u64).wrapping_sub(1);
+            if offset < extent as u64 {
+                flat += offset as usize * stride;
+            } else {
+                out_of_bounds.get_or_insert((d, v, extent));
             }
         }
+        match out_of_bounds {
+            None => Ok((b, flat)),
+            Some((dim, index, extent)) => Err(Box::new(Error::OutOfBounds {
+                array: self.code.arrays[r.array].clone(),
+                dim,
+                index,
+                extent,
+            })),
+        }
+    }
+
+    /// `resolve` for an array the store lacks or holds at another rank:
+    /// the error, reported after the subscripts are evaluated.
+    #[cold]
+    fn resolve_unbound(&mut self, mem: &[Option<Bound>], r: &LRef) -> Box<Error> {
+        let mut indices = Vec::with_capacity(r.indices.len());
+        for ix in &r.indices {
+            match self.expr(mem, ix) {
+                Ok(v) => indices.push(v),
+                Err(e) => return e,
+            }
+        }
+        let name = &self.code.arrays[r.array];
+        let err = match &mem[r.array] {
+            None => Error::UnknownArray(name.clone()),
+            Some(b) => match b.array.flat_index(name, &indices) {
+                Err(e) => e,
+                Ok(_) => unreachable!("only mismatched ranks take this path"),
+            },
+        };
+        Box::new(err)
+    }
+
+    #[cold]
+    fn record(&mut self, kind: AccessKind, array: usize, flat: usize) {
+        self.stats.trace.push(Access {
+            kind,
+            array: self.code.arrays[array].clone(),
+            flat,
+            iteration: self.loop_stack.clone(),
+        });
+    }
+
+    fn cond(&mut self, mem: &[Option<Bound>], c: &LCond) -> Run<bool> {
+        match c {
+            LCond::Cmp(op, a, b, ops) => {
+                let x = self.expr(mem, a)?;
+                let y = self.expr(mem, b)?;
+                self.stats.ops += ops;
+                Ok(op.apply(x, y))
+            }
+            LCond::Not(c) => Ok(!self.cond(mem, c)?),
+            LCond::And(a, b) => Ok(self.cond(mem, a)? && self.cond(mem, b)?),
+            LCond::Or(a, b) => Ok(self.cond(mem, a)? || self.cond(mem, b)?),
+        }
+    }
+
+    fn block(&mut self, mem: &mut [Option<Bound>], stmts: &[LStmt]) -> Run<()> {
+        for s in stmts {
+            self.stmt(mem, s)?;
+        }
+        Ok(())
+    }
+
+    fn stmt(&mut self, mem: &mut [Option<Bound>], s: &LStmt) -> Run<()> {
+        self.tick()?;
+        match s {
+            LStmt::Scalar { slot, value, ops } => {
+                let v = self.expr(mem, value)?;
+                self.stats.ops += ops;
+                self.slots[*slot] = Some(v);
+            }
+            LStmt::Store { target, value, ops } => {
+                let v = self.expr(mem, value)?;
+                let (_, flat) = self.resolve(mem, target)?;
+                self.stats.ops += ops;
+                if self.trace {
+                    self.record(AccessKind::Write, target.array, flat);
+                }
+                let bound = mem[target.array].as_mut().expect("resolved above");
+                bound.array.data[flat] = v;
+            }
+            LStmt::Loop(l) => self.counted(mem, l)?,
+            LStmt::If {
+                cond,
+                then_body,
+                else_body,
+            } => {
+                if self.cond(mem, cond)? {
+                    self.block(mem, then_body)?;
+                } else {
+                    self.block(mem, else_body)?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn counted(&mut self, mem: &mut [Option<Bound>], l: &LLoop) -> Run<()> {
+        let lo = self.expr(mem, &l.lower)?;
+        let hi = self.expr(mem, &l.upper)?;
+        let step = self.expr(mem, &l.step)?;
+        self.stats.ops += l.header_ops;
+        if step == 0 {
+            return Err(Box::new(Error::ZeroStep(self.code.slots[l.slot].clone())));
+        }
+        let trip = trip_count(lo, hi, step);
+        if exceeds_budget(lo, step, trip, self.budget) {
+            return Err(Box::new(Error::StepBudgetExceeded {
+                budget: self.budget,
+            }));
+        }
+        // `trip <= budget + 1` from here on, and every index
+        // `lo + k * step` for `k < trip` lies within `lo..=hi`: the
+        // wrapping steps below are exact for each index actually used.
+        // (Only a `u64::MAX` budget admits `2^64` trips; the budget runs
+        // out long before the clamp matters.)
+        let trip = u64::try_from(trip).unwrap_or(u64::MAX);
+        let saved = self.slots[l.slot];
+        let order = if l.doall {
+            self.order
+        } else {
+            DoallOrder::Forward
+        };
+        match order {
+            DoallOrder::Forward => {
+                let mut ix = lo;
+                for _ in 0..trip {
+                    self.iteration(mem, l, ix)?;
+                    ix = ix.wrapping_add(step);
+                }
+            }
+            DoallOrder::Reverse => {
+                let mut ix = lo.wrapping_add(((trip as i64).wrapping_sub(1)).wrapping_mul(step));
+                for _ in 0..trip {
+                    self.iteration(mem, l, ix)?;
+                    ix = ix.wrapping_sub(step);
+                }
+            }
+            DoallOrder::Shuffled(seed) => {
+                let start = self.order_buf.len();
+                let mut ix = lo;
+                for _ in 0..trip {
+                    self.order_buf.push(ix);
+                    ix = ix.wrapping_add(step);
+                }
+                shuffle(&mut self.order_buf[start..], seed);
+                for k in start..start + trip as usize {
+                    let ix = self.order_buf[k];
+                    self.iteration(mem, l, ix)?;
+                }
+                self.order_buf.truncate(start);
+            }
+        }
+        // The loop variable goes out of scope: restore what it shadowed.
+        self.slots[l.slot] = saved;
+        Ok(())
+    }
+
+    #[inline]
+    fn iteration(&mut self, mem: &mut [Option<Bound>], l: &LLoop, ix: i64) -> Run<()> {
+        self.tick()?;
+        self.slots[l.slot] = Some(ix);
+        if self.trace {
+            self.loop_stack.push((self.code.slots[l.slot].clone(), ix));
+            self.block(mem, &l.body)?;
+            self.loop_stack.pop();
+            Ok(())
+        } else {
+            self.block(mem, &l.body)
+        }
+    }
+}
+
+/// Iterations of `for lo..=hi step step` (`step != 0`), exactly.
+fn trip_count(lo: i64, hi: i64, step: i64) -> u128 {
+    let (span, stride) = if step > 0 {
+        (hi as i128 - lo as i128, step as i128)
+    } else {
+        (lo as i128 - hi as i128, -(step as i128))
+    };
+    if span < 0 {
+        0
+    } else {
+        (span / stride) as u128 + 1
+    }
+}
+
+/// Whether a loop of `trip` iterations is refused up front for exceeding
+/// `budget`. This is the rule the interpreter has always applied while
+/// enumerating indices: the check after the `budget + 1`-th index is
+/// skipped when the next index would overflow `i64`, in which case the
+/// loop starts and the per-iteration ticks exhaust the budget instead.
+fn exceeds_budget(lo: i64, step: i64, trip: u128, budget: u64) -> bool {
+    let budget = budget as u128;
+    if trip <= budget {
+        return false;
+    }
+    if trip > budget + 1 {
+        return true;
+    }
+    let next = lo as i128 + trip as i128 * step as i128;
+    (i64::MIN as i128..=i64::MAX as i128).contains(&next)
+}
+
+/// Fisher–Yates with a xorshift64* generator: deterministic, and the same
+/// permutation for a given seed and length as every earlier version.
+fn shuffle(indices: &mut [i64], seed: u64) {
+    let mut state = seed | 1;
+    let mut next = || {
+        state ^= state >> 12;
+        state ^= state << 25;
+        state ^= state >> 27;
+        state.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    };
+    for i in (1..indices.len()).rev() {
+        let j = (next() % (i as u64 + 1)) as usize;
+        indices.swap(i, j);
     }
 }
 
@@ -782,5 +1199,144 @@ mod tests {
                 Expr::lit(i64::MAX) + Expr::lit(1),
             ));
         assert_eq!(Interp::new().run(&p), Err(Error::Overflow));
+    }
+
+    #[test]
+    fn zero_step_is_reported() {
+        let mut l = Loop::serial("i", 3, vec![]);
+        l.step = Expr::lit(0);
+        let p = Program::new().with_stmt(Stmt::Loop(l));
+        assert_eq!(
+            Interp::new().run(&p),
+            Err(Error::ZeroStep(Symbol::new("i")))
+        );
+    }
+
+    #[test]
+    fn division_by_zero_inside_a_subscript_is_reported() {
+        // z = 0; A[5 / z] = 7;
+        let p = Program::new()
+            .with_array("A", vec![4])
+            .with_stmt(Stmt::assign("z", Expr::lit(0)))
+            .with_stmt(Stmt::store(
+                "A",
+                vec![Expr::lit(5).floor_div(Expr::var("z"))],
+                Expr::lit(7),
+            ));
+        assert_eq!(Interp::new().run(&p), Err(Error::DivisionByZero));
+    }
+
+    #[test]
+    fn stored_value_is_evaluated_before_the_subscript() {
+        // A[5 / 0] = ghost; — the value's error wins over the subscript's.
+        let p = Program::new()
+            .with_array("A", vec![4])
+            .with_stmt(Stmt::store(
+                "A",
+                vec![Expr::lit(5).floor_div(Expr::lit(0))],
+                Expr::var("ghost"),
+            ));
+        assert_eq!(
+            Interp::new().run(&p),
+            Err(Error::UnboundVariable(Symbol::new("ghost")))
+        );
+    }
+
+    #[test]
+    fn loop_bounds_evaluate_lower_then_upper_then_step() {
+        let header = |lower: Expr, upper: Expr, step: Expr| {
+            let mut l = Loop::serial("i", 1, vec![]);
+            (l.lower, l.upper, l.step) = (lower, upper, step);
+            Program::new().with_stmt(Stmt::Loop(l))
+        };
+        let div0 = || Expr::lit(1).floor_div(Expr::lit(0));
+        let p = header(Expr::var("lo"), div0(), Expr::lit(0));
+        assert_eq!(
+            Interp::new().run(&p),
+            Err(Error::UnboundVariable(Symbol::new("lo")))
+        );
+        let p = header(Expr::lit(1), div0(), Expr::var("st"));
+        assert_eq!(Interp::new().run(&p), Err(Error::DivisionByZero));
+        let p = header(Expr::lit(1), Expr::lit(3), Expr::var("st"));
+        assert_eq!(
+            Interp::new().run(&p),
+            Err(Error::UnboundVariable(Symbol::new("st")))
+        );
+    }
+
+    #[test]
+    fn trip_count_above_the_budget_fails_before_the_body_runs() {
+        // The body would divide by zero on its first iteration, but the
+        // trip count alone already exceeds the budget.
+        let p = Program::new().with_stmt(Stmt::Loop(Loop::serial(
+            "i",
+            i64::MAX,
+            vec![Stmt::assign("x", Expr::lit(1).floor_div(Expr::lit(0)))],
+        )));
+        assert_eq!(
+            Interp::new().with_budget(1000).run(&p),
+            Err(Error::StepBudgetExceeded { budget: 1000 })
+        );
+    }
+
+    #[test]
+    fn loop_ending_at_i64_max_stops_without_wrapping() {
+        // for i = MAX-2 .. MAX { s = s + 1 } runs exactly three times.
+        let p = Program::new()
+            .with_array("A", vec![1])
+            .with_stmt(Stmt::assign("s", Expr::lit(0)))
+            .with_stmt(Stmt::Loop(Loop::new(
+                crate::stmt::LoopKind::Serial,
+                "i",
+                i64::MAX - 2,
+                i64::MAX,
+                vec![Stmt::assign("s", Expr::var("s") + Expr::lit(1))],
+            )))
+            .with_stmt(Stmt::store("A", vec![Expr::lit(1)], Expr::var("s")));
+        assert_eq!(Interp::new().run(&p).unwrap().get("A", &[1]), Ok(3));
+    }
+
+    #[test]
+    fn array_missing_from_the_supplied_store_is_reported() {
+        let p = Program::new()
+            .with_array("A", vec![4])
+            .with_stmt(Stmt::store("A", vec![Expr::lit(1)], Expr::lit(1)));
+        assert_eq!(
+            Interp::new().run_on(&p, Store::default()).map(|_| ()),
+            Err(Error::UnknownArray(Symbol::new("A")))
+        );
+        // A missing array that is never touched is not an error.
+        let mut idle = p.clone();
+        idle.body.clear();
+        assert!(Interp::new().run_on(&idle, Store::default()).is_ok());
+    }
+
+    #[test]
+    fn loop_variable_unbound_before_is_unbound_after() {
+        // for i = 1..3 {} A[1] = i;  — `i` does not outlive its loop.
+        let p = Program::new()
+            .with_array("A", vec![1])
+            .with_stmt(Stmt::Loop(Loop::serial("i", 3, vec![])))
+            .with_stmt(Stmt::store("A", vec![Expr::lit(1)], Expr::var("i")));
+        assert_eq!(
+            Interp::new().run(&p),
+            Err(Error::UnboundVariable(Symbol::new("i")))
+        );
+    }
+
+    #[test]
+    fn steps_count_statements_and_iterations() {
+        // s = 0; for i = 1..4 { s = s + i; }  → 1 + (1 + 4 * 2) steps.
+        let p = Program::new()
+            .with_stmt(Stmt::assign("s", Expr::lit(0)))
+            .with_stmt(Stmt::Loop(Loop::serial(
+                "i",
+                4,
+                vec![Stmt::assign("s", Expr::var("s") + Expr::var("i"))],
+            )));
+        let (_, stats) = Interp::new().run_on(&p, Store::for_program(&p)).unwrap();
+        assert_eq!(stats.steps, 10);
+        // 5 scalar stores + 4 adds.
+        assert_eq!(stats.ops, 9);
     }
 }

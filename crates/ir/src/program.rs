@@ -1,6 +1,6 @@
 //! Top-level programs: array declarations plus a statement list.
 
-use crate::error::{Error, Result};
+use crate::error::Result;
 use crate::stmt::Stmt;
 use crate::symbol::Symbol;
 
@@ -74,95 +74,18 @@ impl Program {
 
     /// Validate that array declarations are unique and that every array
     /// reference in the body names a declared array with the right rank.
-    /// (Bounds are checked at runtime by the interpreter.)
+    /// (Bounds are checked at runtime by the interpreter.) These are the
+    /// checks lowering for the interpreter makes, so this lowers the
+    /// program and reports the first error in body order.
     pub fn check(&self) -> Result<()> {
-        for (i, a) in self.arrays.iter().enumerate() {
-            if self.arrays[..i].iter().any(|b| b.name == a.name) {
-                return Err(Error::DuplicateArray(a.name.clone()));
-            }
-        }
-        check_stmts(self, &self.body)
+        crate::interp::Lowered::new(self).map(drop)
     }
-}
-
-fn check_ref(prog: &Program, array: &Symbol, rank: usize) -> Result<()> {
-    match prog.array(array.as_str()) {
-        None => Err(Error::UnknownArray(array.clone())),
-        Some(decl) if decl.dims.len() != rank => Err(Error::RankMismatch {
-            array: array.clone(),
-            expected: decl.dims.len(),
-            got: rank,
-        }),
-        Some(_) => Ok(()),
-    }
-}
-
-fn check_expr(prog: &Program, e: &crate::expr::Expr) -> Result<()> {
-    use crate::expr::Expr;
-    match e {
-        Expr::Const(_) | Expr::Var(_) => Ok(()),
-        Expr::Read(r) => {
-            check_ref(prog, &r.array, r.indices.len())?;
-            r.indices.iter().try_for_each(|ix| check_expr(prog, ix))
-        }
-        Expr::Unary(_, a) => check_expr(prog, a),
-        Expr::Binary(_, a, b) => {
-            check_expr(prog, a)?;
-            check_expr(prog, b)
-        }
-    }
-}
-
-fn check_cond(prog: &Program, c: &crate::expr::Cond) -> Result<()> {
-    use crate::expr::Cond;
-    match c {
-        Cond::Cmp(_, a, b) => {
-            check_expr(prog, a)?;
-            check_expr(prog, b)
-        }
-        Cond::Not(x) => check_cond(prog, x),
-        Cond::And(a, b) | Cond::Or(a, b) => {
-            check_cond(prog, a)?;
-            check_cond(prog, b)
-        }
-    }
-}
-
-fn check_stmts(prog: &Program, stmts: &[Stmt]) -> Result<()> {
-    for s in stmts {
-        match s {
-            Stmt::AssignScalar { value, .. } => check_expr(prog, value)?,
-            Stmt::AssignArray { target, value } => {
-                check_ref(prog, &target.array, target.indices.len())?;
-                target
-                    .indices
-                    .iter()
-                    .try_for_each(|ix| check_expr(prog, ix))?;
-                check_expr(prog, value)?;
-            }
-            Stmt::Loop(l) => {
-                check_expr(prog, &l.lower)?;
-                check_expr(prog, &l.upper)?;
-                check_expr(prog, &l.step)?;
-                check_stmts(prog, &l.body)?;
-            }
-            Stmt::If {
-                cond,
-                then_body,
-                else_body,
-            } => {
-                check_cond(prog, cond)?;
-                check_stmts(prog, then_body)?;
-                check_stmts(prog, else_body)?;
-            }
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::Error;
     use crate::expr::Expr;
 
     #[test]

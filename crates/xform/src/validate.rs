@@ -11,7 +11,7 @@
 //! These checks are the dynamic complement to the static legality analysis
 //! and are used pervasively by the test suites of this workspace.
 
-use lc_ir::interp::{DoallOrder, Interp, Store};
+use lc_ir::interp::{DoallOrder, Interp, Lowered, Store};
 use lc_ir::program::Program;
 use lc_ir::rng::Rng;
 use lc_ir::{Error, Result};
@@ -36,10 +36,14 @@ pub fn seeded_store(prog: &Program, seed: u64) -> Store {
 /// Check that `original` and `transformed` compute the same final store
 /// from the same seeded input, and that `transformed` is insensitive to
 /// `doall` iteration order. Errors carry a description of the divergence.
+///
+/// Each program is lowered once; the transformed one then runs under all
+/// three orders from its single [`Lowered`] handle.
 pub fn check_equivalent(original: &Program, transformed: &Program, seed: u64) -> Result<()> {
     let base = seeded_store(original, seed);
-    let (want, _) = Interp::new().run_on(original, base.clone())?;
+    let (want, _) = Interp::new().run_lowered(&Lowered::new(original)?, base.clone())?;
 
+    let code = Lowered::new(transformed)?;
     for order in [
         DoallOrder::Forward,
         DoallOrder::Reverse,
@@ -47,7 +51,7 @@ pub fn check_equivalent(original: &Program, transformed: &Program, seed: u64) ->
     ] {
         let (got, _) = Interp::new()
             .with_order(order)
-            .run_on(transformed, base.clone())?;
+            .run_lowered(&code, base.clone())?;
         if got != want {
             return Err(Error::unsupported(format!(
                 "transformed program diverges from original under {order:?} (seed {seed})"
@@ -59,11 +63,15 @@ pub fn check_equivalent(original: &Program, transformed: &Program, seed: u64) ->
 
 /// Check that a program's result does not depend on `doall` iteration
 /// order (necessary for it to be a semantically valid parallel program).
+/// The program is lowered once and run under every order.
 pub fn check_order_independent(prog: &Program, seed: u64) -> Result<()> {
     let base = seeded_store(prog, seed);
-    let (want, _) = Interp::new().run_on(prog, base.clone())?;
+    let code = Lowered::new(prog)?;
+    let (want, _) = Interp::new().run_lowered(&code, base.clone())?;
     for order in [DoallOrder::Reverse, DoallOrder::Shuffled(seed ^ 0x55AA)] {
-        let (got, _) = Interp::new().with_order(order).run_on(prog, base.clone())?;
+        let (got, _) = Interp::new()
+            .with_order(order)
+            .run_lowered(&code, base.clone())?;
         if got != want {
             return Err(Error::unsupported(format!(
                 "program is doall-order dependent (observed under {order:?}, seed {seed})"

@@ -2,6 +2,7 @@
 //! with a descriptive error instead of panicking or silently mis-running.
 
 use loop_coalescing::coalesce_source;
+use loop_coalescing::driver::Driver;
 use loop_coalescing::ir::interp::Interp;
 use loop_coalescing::ir::parser::parse_program;
 use loop_coalescing::ir::{Error, Stmt};
@@ -159,4 +160,33 @@ fn empty_and_degenerate_loops_flow_through_every_layer() {
     assert_eq!(out.coalesced[0].total_iterations, 0);
     let store = Interp::new().run(&out.transformed).unwrap();
     assert_eq!(store.get("A", &[1, 1]).unwrap(), 0);
+}
+
+/// `i64::MIN / -1` has no `i64` quotient: the interpreter and the driver's
+/// validation must report it as a typed overflow instead of panicking.
+#[test]
+fn min_over_minus_one_is_a_typed_overflow_on_every_path() {
+    let min = "m = 0 - 9223372036854775807 - 1;";
+    for (value, want) in [
+        ("m / (0 - 1)", Err(Error::Overflow)),
+        ("ceildiv(m, 0 - 1)", Err(Error::Overflow)),
+        ("m % (0 - 1)", Ok(0)),
+    ] {
+        let prog = parse_program(&format!("array A[1]; {min} A[1] = {value};")).unwrap();
+        let got = Interp::new().run(&prog).map(|s| s.get("A", &[1]).unwrap());
+        assert_eq!(got, want, "{value}");
+    }
+
+    let src = format!(
+        "array A[4][4];
+        {min}
+        doall i = 1..4 {{
+            doall j = 1..4 {{
+                A[i][j] = m / (0 - 1);
+            }}
+        }}"
+    );
+    let out = std::panic::catch_unwind(|| Driver::default().compile(&src))
+        .expect("compile must not panic");
+    assert_eq!(out.err(), Some(Error::Overflow));
 }
