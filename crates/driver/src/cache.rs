@@ -1,15 +1,25 @@
 //! Per-nest analysis memoization.
 //!
 //! Several passes need the same facts about a nest — its extracted
-//! [`Nest`] form, its normalized form, and its dependence analysis. The
-//! seed pipeline recomputed these inside every transformation entry
-//! point; the driver computes each **once per nest** and hands the cached
-//! result to the analysis-injected `lc-xform` entry point
-//! ([`lc_xform::coalesce::coalesce_band`]).
+//! [`Nest`] form, its normalized form, and its dependence analysis.
+//! [`NestAnalyses`] computes each **once per nest version**: the loop as
+//! written, and again after each structural rewrite (perfection,
+//! interchange) replaces it. Every consumer reads that one answer: the
+//! `analyze` stage's lints, interchange legality, the band advisor, and
+//! both coalescing paths ([`lc_xform::coalesce::coalesce_band`]).
+//!
+//! Dependence analysis runs on the extracted nest, not its
+//! normalization: [`analyze_nest`] answers in iteration order, so the
+//! two agree (see `lc_ir::analysis::depend`), and symbolic nests, which
+//! cannot be normalized, get an analysis too.
 //!
 //! Every accessor counts a *computed* or a *hit* in [`CacheStats`], so
 //! tests (and the trace report) can assert that dependence analysis ran
-//! at most once per nest per compilation.
+//! at most once per nest version. Two analyses run outside the cache,
+//! on nests that are not a version of the one tracked here: perfection's
+//! check of its candidate rewrite (`lc_xform::perfect`), which the pass
+//! may still reject, and the linter's analyses of subnests below an
+//! imperfect level, which no transformation consumes.
 
 use lc_ir::analysis::depend::{analyze_nest, NestDeps};
 use lc_ir::analysis::nest::{extract_nest, Nest};
@@ -68,8 +78,7 @@ pub struct NestAnalyses {
     current: Loop,
     nest: Option<Nest>,
     normalized: Option<Result<Nest>>,
-    /// Dependence analysis of the **normalized** nest (the form every
-    /// legality check in the pipeline consumes).
+    /// Dependence analysis of the extracted nest, in iteration order.
     deps: Option<Result<NestDeps>>,
     /// Counters, preserved across [`NestAnalyses::rewrite`].
     pub stats: CacheStats,
@@ -129,15 +138,11 @@ impl NestAnalyses {
             .map_err(Error::clone)
     }
 
-    /// Dependence analysis of the normalized nest (memoized, including
-    /// failures). Requesting deps when normalization failed reports the
-    /// normalization error.
+    /// Dependence analysis of the extracted nest (memoized, including
+    /// failures). It also describes the normalized nest, level for level.
     pub fn deps(&mut self) -> Result<&NestDeps> {
         if self.deps.is_none() {
-            let res = match self.normalized() {
-                Ok(n) => analyze_nest(n),
-                Err(e) => Err(e),
-            };
+            let res = analyze_nest(self.nest());
             self.stats.deps_computed += 1;
             self.deps = Some(res);
         } else {

@@ -14,8 +14,10 @@
 //!   veto a nest (`deny` severity → [`SkipReason::LintDenied`]).
 //! * [`cache::NestAnalyses`] — memoizes nest extraction, normalization,
 //!   and dependence analysis per nest, with hit/miss counters
-//!   ([`cache::CacheStats`]); each analysis runs **at most once per
-//!   nest** per compilation.
+//!   ([`cache::CacheStats`]); each analysis runs **once per nest
+//!   version** — the nest as written, and again after each structural
+//!   rewrite — and the lints, interchange, the advisor and coalescing all
+//!   read that one answer.
 //! * [`trace::PipelineTrace`] — a timed, JSON-serializable record of
 //!   every pass invocation (applied / skipped-with-diagnostic /
 //!   validated), plus a human-readable [`trace::PipelineTrace::report`].
@@ -42,7 +44,7 @@
 //!     )
 //!     .unwrap();
 //! assert!(out.transformed_source.contains("doall jc = 1..5000"));
-//! assert_eq!(out.trace.cache.deps_computed, 1); // analyzed exactly once
+//! assert_eq!(out.trace.cache.deps_computed, 1); // one nest version, one analysis
 //! ```
 
 #![warn(missing_docs)]

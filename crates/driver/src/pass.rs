@@ -167,7 +167,14 @@ impl Pass for AnalyzePass {
         if set.all_allowed() {
             return Ok(PassOutcome::Noop);
         }
-        let mut linter = NestLinter::new(cx.cache.current(), state.index, &state.env);
+        // LC001 reads the nest's cached analysis; the coalesce pass (and
+        // interchange, when nothing rewrites the nest first) reuses it.
+        let deps = cx.cache.deps().is_ok();
+        let cache = &*cx.cache;
+        let mut linter = NestLinter::new(cache.current(), state.index, &state.env);
+        if deps {
+            linter = linter.with_root_deps(cache.deps_ref());
+        }
         let mut findings = Vec::new();
         let mut per_lint = Vec::new();
         for code in LintCode::ALL {
@@ -291,15 +298,15 @@ impl Pass for InterchangePass {
             // Depth-1 or symbolic nests: nothing to interchange here.
             return Ok(PassOutcome::Noop);
         }
-        let carried: Vec<bool> = match cx.cache.deps() {
-            Ok(d) => (0..depth).map(|k| d.carried_at(k)).collect(),
+        let Ok(deps) = cx.cache.deps() else {
             // Let the coalesce pass surface analysis problems.
-            Err(_) => return Ok(PassOutcome::Noop),
-        };
-        let Some(level) = (0..depth - 1).find(|&k| carried[k] && !carried[k + 1]) else {
             return Ok(PassOutcome::Noop);
         };
-        match interchange(cx.cache.current(), level) {
+        let Some(level) = (0..depth - 1).find(|&k| deps.carried_at(k) && !deps.carried_at(k + 1))
+        else {
+            return Ok(PassOutcome::Noop);
+        };
+        match interchange(cx.cache.current(), level, cx.cache.deps_ref()) {
             Ok(l) => {
                 cx.cache.rewrite(l);
                 Ok(PassOutcome::Applied { rewrites: 1 })
@@ -359,36 +366,24 @@ pub struct CoalescePass;
 
 impl CoalescePass {
     /// Run the constant-trip-count path with cached analyses. Replicates
-    /// `coalesce_loop` = normalize (cached) + `coalesce_band`, injecting
-    /// the cached dependence analysis exactly when `coalesce_band` would
-    /// compute one (legality checking on, band valid).
+    /// `coalesce_loop` = normalize (cached) + `coalesce_band`, with the
+    /// cached dependence analysis of the nest as written.
     fn constant_path(
         cx: &mut PassCx<'_>,
         opts: &lc_xform::coalesce::CoalesceOptions,
-        depth: usize,
     ) -> Result<CoalesceResult> {
-        let (s, e) = opts.levels.unwrap_or((0, depth));
-        let valid_band = s < e && e <= depth;
         if opts.auto_normalize {
             cx.cache.normalized()?;
         } else {
             require_normalized(&cx.cache.nest().loops)?;
         }
-        let needs_deps = opts.check_legality && valid_band;
-        if needs_deps {
-            cx.cache.deps()?;
-        }
+        cx.cache.deps()?;
         let nest: &Nest = if opts.auto_normalize {
             cx.cache.normalized_ref()
         } else {
             cx.cache.nest_ref()
         };
-        let deps = if needs_deps {
-            Some(cx.cache.deps_ref())
-        } else {
-            None
-        };
-        coalesce_band(nest, deps, opts)
+        coalesce_band(nest, cx.cache.deps_ref(), opts)
     }
 }
 
@@ -413,7 +408,7 @@ impl Pass for CoalescePass {
         let band = opts.levels.unwrap_or((0, depth));
         let width = band.1.saturating_sub(band.0) as u64;
 
-        match Self::constant_path(cx, &opts, depth) {
+        match Self::constant_path(cx, &opts) {
             Ok(result) => {
                 state.decision = Some(Decision::Coalesced {
                     stmts: result.stmts(),
@@ -425,7 +420,8 @@ impl Pass for CoalescePass {
                 // Normalization needs constant trip counts; retry on the
                 // raw nest, where the per-level emitter computes symbolic
                 // strides at run time.
-                match coalesce_band(cx.cache.nest_ref(), None, &opts) {
+                cx.cache.deps()?;
+                match coalesce_band(cx.cache.nest_ref(), cx.cache.deps_ref(), &opts) {
                     Ok(result) => {
                         state.decision = Some(Decision::Coalesced {
                             stmts: result.stmts(),

@@ -5,6 +5,7 @@ use lc_driver::json::Json;
 use lc_driver::trace::{skip_reason_from_json, skip_reason_to_json};
 use lc_driver::{Driver, DriverOptions, Skip, TraceOutcome};
 use lc_ir::{BoundPart, SkipReason, Symbol};
+use lc_lint::LintCode;
 use lc_xform::coalesce::CoalesceOptions;
 
 const QUICKSTART: &str = "
@@ -126,9 +127,68 @@ fn symbolic_nests_never_reach_dependence_analysis_twice() {
         .unwrap();
     assert_eq!(out.coalesced.len(), 1);
     assert!(out.coalesced[0].dims.is_empty(), "took the symbolic path");
-    // The cached (normalized-nest) analysis never runs for a symbolic
-    // nest; the symbolic path's own analysis runs once inside lc-xform.
-    assert_eq!(out.trace.cache.deps_computed, 0);
+    // The nest as written is analysed once, by the cache; the symbolic
+    // path reads that analysis instead of running its own.
+    assert_eq!(out.trace.cache.deps_computed, 1);
+    assert!(out.trace.cache.deps_hits >= 1);
+}
+
+#[test]
+fn strided_doall_is_not_reported_racy_when_it_coalesces() {
+    // `step 2` visits odd i only: A[i] and A[i + 1] never meet. The lint
+    // and the coalescer read the same iteration-order analysis, so the
+    // output cannot both coalesce the nest and call it racy.
+    let out = Driver::default()
+        .compile(
+            "
+            array A[12];
+            doall i = 1..10 step 2 {
+                A[i] = A[i + 1] + 1;
+            }
+            ",
+        )
+        .unwrap();
+    assert_eq!(out.coalesced.len(), 1, "{:?}", out.skipped);
+    assert!(
+        out.lints.iter().all(|f| f.code != LintCode::DoallRace),
+        "{:?}",
+        out.lints
+    );
+}
+
+#[test]
+fn negative_step_nest_is_not_interchanged() {
+    // In iteration order the dependence is (<, >): j runs downward, so
+    // swapping the levels would run the sink before the source.
+    let src = "
+        array A[6][6];
+        for i = 1..4 {
+            doall j = 4..1 step -1 {
+                A[i + 1][j + 1] = A[i][j] + 1;
+            }
+        }
+    ";
+    let out = Driver::default().compile(src).unwrap();
+    let interchange = out
+        .trace
+        .events_for(0)
+        .find(|e| e.pass == "interchange")
+        .unwrap();
+    assert!(
+        matches!(
+            &interchange.outcome,
+            TraceOutcome::Skipped {
+                reason: SkipReason::InterchangeIllegal { .. }
+            }
+        ),
+        "{:?}",
+        interchange.outcome
+    );
+    let checked = Driver::new(DriverOptions {
+        validate_each_pass: true,
+        ..DriverOptions::default()
+    });
+    checked.compile(src).unwrap();
 }
 
 // ── facade equivalence ──────────────────────────────────────────────────
@@ -396,7 +456,7 @@ fn warned_race_is_reported_but_does_not_block_the_pipeline() {
 
 #[test]
 fn denied_lint_vetoes_the_nest() {
-    use lc_lint::{LintCode, LintSet, Severity};
+    use lc_lint::{LintSet, Severity};
     let options = DriverOptions {
         lints: LintSet::default().with(LintCode::DoallRace, Severity::Deny),
         ..Default::default()

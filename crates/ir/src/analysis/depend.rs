@@ -11,11 +11,29 @@
 //! iterations that agree on levels `1..k` and differ at level `k` (the
 //! first non-`=` entry of its direction vector). Level `k` of a nest is
 //! DOALL-legal exactly when no dependence is carried at `k`.
+//!
+//! # Iteration order
+//!
+//! Direction vectors compare *iterations*, not index values. A level
+//! whose step is a literal other than 1 is analysed by its iteration
+//! number `t ∈ 1..=trip`, through `v = lo + step·(t − 1)` — the
+//! substitution `lc_xform::normalize` performs — so `10..1 step -1` runs
+//! forward in `t` and `1..10 step 2` only visits odd `v`. Guard pins
+//! `v == c` translate to `t`. A level whose step is not a literal (or
+//! whose start is symbolic) is analysed over the hull of its bounds, wide
+//! when they are symbolic, with `<` and `>` tested as one: it can only
+//! gain dependences. Unit-step levels are analysed by value, which is
+//! their iteration order, over `lo..=hi`, wide on a symbolic side.
+//!
+//! The upshot: analysing a nest as written gives the same [`NestDeps`]
+//! as analysing its normalization, or a more precise one where a guard
+//! pin survives that normalization rewrites away. Either may be handed to
+//! a transformation of the other.
 
 use std::collections::BTreeSet;
 
 use crate::analysis::affine::Affine;
-use crate::analysis::nest::Nest;
+use crate::analysis::nest::{LoopHeader, Nest};
 use crate::arith::gcd;
 use crate::error::Result;
 use crate::expr::{Cond, Expr};
@@ -161,24 +179,16 @@ pub struct BlockingDep<'a> {
     pub direction: &'a [Dir],
 }
 
-/// Analyze a perfect nest for loop-carried dependences.
+/// Analyze a perfect nest for loop-carried dependences, with direction
+/// vectors in iteration order (see the module docs).
 pub fn analyze_nest(nest: &Nest) -> Result<NestDeps> {
-    let levels: Vec<LevelInfo> = nest
-        .loops
-        .iter()
-        .map(|h| {
-            let lo = h.lower.as_const().unwrap_or(1);
-            let hi = h.upper.as_const().unwrap_or(WIDE_BOUND);
-            LevelInfo {
-                var: h.var.clone(),
-                lo,
-                hi,
-            }
-        })
-        .collect();
+    let levels: Vec<LevelInfo> = nest.loops.iter().map(LevelInfo::of).collect();
 
     let mut refs = Vec::new();
     collect_stmts(&nest.body, &mut refs);
+    for r in &mut refs {
+        r.renumber_by_iteration(&levels);
+    }
 
     let mut deps = Vec::new();
     for a in 0..refs.len() {
@@ -257,10 +267,67 @@ pub fn analyze_nest(nest: &Nest) -> Result<NestDeps> {
 /// enough that any feasible iteration distance is covered (conservative).
 const WIDE_BOUND: i64 = 1_000_000_000;
 
+/// One level as the tester sees it: the range of the analysed index and
+/// how that index relates to the loop variable.
 struct LevelInfo {
     var: Symbol,
     lo: i64,
     hi: i64,
+    /// `Some((base, step))` when the index is the iteration number `t`,
+    /// with `var = base + step·t`; `None` when it is `var` itself.
+    map: Option<(i64, i64)>,
+    /// False when the step's sign is unknown, so index order says
+    /// nothing about iteration order: `<` and `>` are tested as one.
+    ordered: bool,
+}
+
+impl LevelInfo {
+    fn of(h: &LoopHeader) -> LevelInfo {
+        let var = h.var.clone();
+        let (lo, hi) = (h.lower.as_const(), h.upper.as_const());
+        match h.step.as_const() {
+            Some(1) => {
+                return LevelInfo {
+                    var,
+                    lo: lo.unwrap_or(-WIDE_BOUND),
+                    hi: hi.unwrap_or(WIDE_BOUND),
+                    map: None,
+                    ordered: true,
+                }
+            }
+            Some(step) if step != 0 => {
+                let trips = match hi {
+                    Some(_) => h.const_trip_count().and_then(|t| i64::try_from(t).ok()),
+                    None => Some(WIDE_BOUND),
+                };
+                if let (Some(base), Some(trips)) = (lo.and_then(|lo| lo.checked_sub(step)), trips) {
+                    return LevelInfo {
+                        var,
+                        lo: 1,
+                        hi: trips,
+                        map: Some((base, step)),
+                        ordered: true,
+                    };
+                }
+            }
+            _ => {}
+        }
+        // The hull of the bounds, wide on a symbolic side.
+        let (lo, hi) = match (lo, hi) {
+            (Some(a), Some(b)) => (a.min(b), a.max(b)),
+            (a, b) => {
+                let c = a.or(b).unwrap_or(0);
+                (c.min(-WIDE_BOUND), c.max(WIDE_BOUND))
+            }
+        };
+        LevelInfo {
+            var,
+            lo,
+            hi,
+            map: None,
+            ordered: false,
+        }
+    }
 }
 
 struct RefInfo {
@@ -277,6 +344,44 @@ struct RefInfo {
 }
 
 type Pins = std::collections::BTreeMap<Symbol, i64>;
+
+impl RefInfo {
+    /// Rewrite subscripts and pins of iteration-numbered levels from
+    /// `var` to `t`, where `var = base + step·t`. A coefficient that
+    /// overflows makes its subscript non-affine; a pin no iteration
+    /// reaches becomes `0`, outside every iteration range.
+    fn renumber_by_iteration(&mut self, levels: &[LevelInfo]) {
+        for lv in levels {
+            let Some((base, step)) = lv.map else { continue };
+            for sub in &mut self.subs {
+                let Some(f) = sub else { continue };
+                let c = f.coeff(&lv.var);
+                if c == 0 {
+                    continue;
+                }
+                match (
+                    c.checked_mul(base)
+                        .and_then(|cb| f.constant.checked_add(cb)),
+                    c.checked_mul(step),
+                ) {
+                    (Some(constant), Some(coeff)) => {
+                        f.constant = constant;
+                        f.terms.insert(lv.var.clone(), coeff);
+                    }
+                    _ => *sub = None,
+                }
+            }
+            if let Some(pin) = self.pins.get_mut(&lv.var) {
+                let off = *pin as i128 - base as i128;
+                *pin = if off % step as i128 == 0 {
+                    i64::try_from(off / step as i128).unwrap_or(0)
+                } else {
+                    0
+                };
+            }
+        }
+    }
+}
 
 fn collect_stmts(stmts: &[Stmt], out: &mut Vec<RefInfo>) {
     for (i, s) in stmts.iter().enumerate() {
@@ -520,11 +625,11 @@ fn dim_feasible(
     pins_a: &Pins,
     pins_b: &Pins,
 ) -> bool {
-    // h = f(I) - g(I') must be able to equal 0.
-    let mut ival = Ival::point(f.constant as i128 - g.constant as i128);
+    // h = f(I) - g(I') must be able to equal 0. `c0` collects every
+    // constant term (pinned indices included) for the GCD test.
+    let mut c0 = f.constant as i128 - g.constant as i128;
+    let mut ival = Ival::point(c0);
     let mut gcd_acc: i64 = 0;
-    // Pinned levels use a decoupled range test that does not feed the GCD
-    // accumulator; disable the GCD refinement when one is seen.
     let mut gcd_valid = true;
 
     let level_vars: BTreeSet<&Symbol> = levels.iter().map(|l| &l.var).collect();
@@ -533,53 +638,68 @@ fn dim_feasible(
         let a = f.coeff(&lv.var);
         let b = g.coeff(&lv.var);
         let (lo, hi) = (lv.lo, lv.hi);
-        let trip = hi - lo + 1;
+        let trip = hi.saturating_sub(lo).saturating_add(1);
+        // Without a known step sign, `<` and `>` are one question.
+        let dir = match dirs[k] {
+            DirX::Lt | DirX::Gt if !lv.ordered => {
+                if trip < 2 {
+                    return false;
+                }
+                DirX::Any
+            }
+            d => d,
+        };
 
         let pa = pins_a.get(&lv.var).copied();
         let pb = pins_b.get(&lv.var).copied();
         if pa.is_some() || pb.is_some() {
             // Guard-aware path: each side's index ranges over a point (if
-            // pinned) or the whole level, constrained by the direction.
-            gcd_valid = false;
-            let (la, ua) = pa.map(|v| (v, v)).unwrap_or((lo, hi));
-            let (lb, ub) = pb.map(|v| (v, v)).unwrap_or((lo, hi));
-            match dirs[k] {
+            // pinned) or the whole level, constrained by the direction. A
+            // pin outside the level means the reference never executes.
+            if pa.into_iter().chain(pb).any(|p| p < lo || p > hi) {
+                return false;
+            }
+            let (la, ua) = pa.map_or((lo, hi), |v| (v, v));
+            let (lb, ub) = pb.map_or((lo, hi), |v| (v, v));
+            let ((xl, xu), (yl, yu)) = match dir {
                 DirX::Eq => {
-                    let l = la.max(lb);
-                    let u = ua.min(ub);
+                    // Both sides share one index: a point, since one side
+                    // is pinned.
+                    let (l, u) = (la.max(lb), ua.min(ub));
                     if l > u {
                         return false; // pinned to different values
                     }
-                    ival = ival.add(Ival::scaled(a - b, l, u));
+                    ((l, u), (l, u))
                 }
-                DirX::Any => {
-                    ival = ival.add(Ival::scaled(a, la, ua));
-                    ival = ival.add(Ival::scaled(-b, lb, ub));
-                }
-                DirX::Lt => {
-                    // x in [la,ua], y in [lb,ub], x < y.
-                    let xu = ua.min(ub - 1);
-                    let yl = lb.max(la + 1);
-                    if la > xu || yl > ub {
-                        return false;
+                DirX::Any => ((la, ua), (lb, ub)),
+                // x in [la,ua], y in [lb,ub], x < y (resp. x > y).
+                DirX::Lt => (
+                    (la, ua.min(ub.saturating_sub(1))),
+                    (lb.max(la.saturating_add(1)), ub),
+                ),
+                DirX::Gt => (
+                    (la.max(lb.saturating_add(1)), ua),
+                    (lb, ub.min(ua.saturating_sub(1))),
+                ),
+            };
+            if xl > xu || yl > yu {
+                return false;
+            }
+            for (coeff, l, u) in [(a, xl, xu), (-b, yl, yu)] {
+                ival = ival.add(Ival::scaled(coeff, l, u));
+                if l == u {
+                    match c0.checked_add(coeff as i128 * l as i128) {
+                        Some(c) => c0 = c,
+                        None => gcd_valid = false,
                     }
-                    ival = ival.add(Ival::scaled(a, la, xu));
-                    ival = ival.add(Ival::scaled(-b, yl, ub));
-                }
-                DirX::Gt => {
-                    let xl = la.max(lb + 1);
-                    let yu = ub.min(ua - 1);
-                    if xl > ua || lb > yu {
-                        return false;
-                    }
-                    ival = ival.add(Ival::scaled(a, xl, ua));
-                    ival = ival.add(Ival::scaled(-b, lb, yu));
+                } else {
+                    gcd_acc = gcd(gcd_acc, coeff);
                 }
             }
             continue;
         }
 
-        match dirs[k] {
+        match dir {
             DirX::Eq => {
                 ival = ival.add(Ival::scaled(a - b, lo, hi));
                 gcd_acc = gcd(gcd_acc, a - b);
@@ -597,7 +717,7 @@ fn dim_feasible(
                 // i'_k = i_k + d, d in [1, hi-lo], i_k in [lo, hi-1]:
                 // a*i_k - b*(i_k + d) = (a-b)*i_k - b*d
                 ival = ival.add(Ival::scaled(a - b, lo, hi - 1));
-                ival = ival.add(Ival::scaled(-b, 1, hi - lo));
+                ival = ival.add(Ival::scaled(-b, 1, hi.saturating_sub(lo)));
                 gcd_acc = gcd(gcd_acc, a - b);
                 gcd_acc = gcd(gcd_acc, b);
             }
@@ -608,7 +728,7 @@ fn dim_feasible(
                 // i'_k = i_k - d, d in [1, hi-lo], i_k in [lo+1, hi]:
                 // a*i_k - b*(i_k - d) = (a-b)*i_k + b*d
                 ival = ival.add(Ival::scaled(a - b, lo + 1, hi));
-                ival = ival.add(Ival::scaled(b, 1, hi - lo));
+                ival = ival.add(Ival::scaled(b, 1, hi.saturating_sub(lo)));
                 gcd_acc = gcd(gcd_acc, a - b);
                 gcd_acc = gcd(gcd_acc, b);
             }
@@ -634,12 +754,10 @@ fn dim_feasible(
         return false;
     }
     if !gcd_valid {
-        return true; // interval test only when pins were involved
+        return true;
     }
     // GCD test: sum of var terms is a multiple of gcd_acc, so h can only be
-    // zero if gcd_acc divides the constant difference. Widen to i128 so the
-    // subtraction cannot overflow for extreme constants.
-    let c0 = f.constant as i128 - g.constant as i128;
+    // zero if gcd_acc divides the constant terms.
     if gcd_acc == 0 {
         c0 == 0
     } else {
@@ -1049,6 +1167,108 @@ mod tests {
         assert_eq!(b.direction, &[Dir::Eq, Dir::Lt]);
         assert_eq!(format_direction(b.direction), "(=, <)");
         assert_eq!((b.dep.src_stmt, b.dep.dst_stmt), (0, 0));
+    }
+
+    #[test]
+    fn negative_step_orders_by_iteration() {
+        // i runs downward, so A[i + 1] is written one iteration before
+        // it is read: a flow dependence carried forward.
+        let d = deps_of(
+            "
+            array A[12];
+            doall i = 10..1 step -1 {
+                A[i] = A[i + 1] + 1;
+            }
+            ",
+        );
+        let flow = d.deps.iter().find(|x| x.kind == DepKind::Flow).unwrap();
+        assert_eq!(flow.directions, vec![vec![Dir::Lt]], "{d:?}");
+        assert!(!d.deps.iter().any(|x| x.kind == DepKind::Anti), "{d:?}");
+    }
+
+    #[test]
+    fn stride_skips_the_cells_it_never_visits() {
+        // i is odd: A[i] and A[i + 1] never meet.
+        let d = deps_of(
+            "
+            array A[12];
+            doall i = 1..10 step 2 {
+                A[i] = A[i + 1] + 1;
+            }
+            ",
+        );
+        assert!(d.fully_parallel(), "{d:?}");
+    }
+
+    #[test]
+    fn symbolic_step_is_analysed_over_the_hull_in_both_directions() {
+        let d = deps_of(
+            "
+            array A[12];
+            s = 0 - 1;
+            doall i = 10..1 step s {
+                A[i] = A[i + 1] + 1;
+            }
+            ",
+        );
+        assert!(d.carried_at(0), "{d:?}");
+        for kind in [DepKind::Flow, DepKind::Anti] {
+            assert!(d.deps.iter().any(|x| x.kind == kind), "{d:?}");
+        }
+    }
+
+    #[test]
+    fn guard_pins_translate_to_iteration_numbers() {
+        // i == 10 is the first iteration of a downward loop: the write
+        // feeds every later read (flow), it does not follow them.
+        let d = deps_of(
+            "
+            array A[2];
+            array B[10];
+            doall i = 10..1 step -1 {
+                if i == 10 {
+                    A[1] = 1;
+                }
+                B[i] = A[1];
+            }
+            ",
+        );
+        let carried: Vec<DepKind> = d
+            .deps
+            .iter()
+            .filter(|x| x.carried_levels().contains(&0))
+            .map(|x| x.kind)
+            .collect();
+        assert_eq!(carried, vec![DepKind::Flow], "{d:?}");
+        // A pin the stride never reaches leaves the write dead.
+        let d = deps_of(
+            "
+            array A[2];
+            array B[10];
+            doall i = 1..9 step 2 {
+                if i == 4 {
+                    A[1] = 1;
+                }
+                B[i] = A[1];
+            }
+            ",
+        );
+        assert!(d.deps.is_empty(), "{d:?}");
+    }
+
+    #[test]
+    fn symbolic_lower_bound_is_wide() {
+        // With n = -10, iterations 14 apart meet at A[15] and A[16].
+        let d = deps_of(
+            "
+            array A[40];
+            n = 0 - 10;
+            doall i = n..5 {
+                A[i + 11] = A[i + 25] + 1;
+            }
+            ",
+        );
+        assert!(d.carried_at(0), "{d:?}");
     }
 
     #[test]

@@ -283,16 +283,17 @@ struct SubNest {
 /// Lints one top-level loop statement (and every nest nested below it).
 ///
 /// The driver's `analyze` stage runs each lint individually so it can
-/// report per-lint timings; [`lint_program`] runs them all. Dependence
-/// analysis is memoized per (sub)nest across lints.
+/// report per-lint timings; [`lint_program`] runs them all. LC001 is the
+/// one lint that needs dependence analysis; it reads the root nest's from
+/// [`NestLinter::with_root_deps`] when the caller already holds one, and
+/// analyses the rest itself.
 pub struct NestLinter<'a> {
     nest_index: usize,
     env: &'a ConstEnv,
     root: Loop,
     root_ordinal: usize,
     subnests: Vec<SubNest>,
-    /// Memo: `None` = not yet computed; `Some(None)` = analysis failed.
-    deps: Vec<Option<Option<NestDeps>>>,
+    root_deps: Option<&'a NestDeps>,
 }
 
 impl<'a> NestLinter<'a> {
@@ -313,15 +314,21 @@ impl<'a> NestLinter<'a> {
         let root_ordinal = *counter;
         let mut subnests = Vec::new();
         collect_subnests(l, counter, &mut subnests);
-        let n = subnests.len();
         NestLinter {
             nest_index,
             env,
             root: l.clone(),
             root_ordinal,
             subnests,
-            deps: vec![None; n],
+            root_deps: None,
         }
+    }
+
+    /// Use `deps`, the dependence analysis of the perfect nest extracted
+    /// from the linted loop, instead of analysing that nest again.
+    pub fn with_root_deps(mut self, deps: &'a NestDeps) -> NestLinter<'a> {
+        self.root_deps = Some(deps);
+        self
     }
 
     /// Run a single lint at the given severity.
@@ -348,27 +355,21 @@ impl<'a> NestLinter<'a> {
         out
     }
 
-    fn ensure_deps(&mut self, si: usize) {
-        if self.deps[si].is_none() {
-            self.deps[si] = Some(analyze_nest(&self.subnests[si].nest).ok());
-        }
-    }
-
     /// LC001: every `doall` level must be dependence-free.
     fn lc001(&mut self, severity: Severity) -> Vec<Finding> {
         let mut out = Vec::new();
-        for si in 0..self.subnests.len() {
-            if !self.subnests[si]
-                .nest
-                .loops
-                .iter()
-                .any(|h| h.kind.is_doall())
-            {
+        for (si, sn) in self.subnests.iter().enumerate() {
+            if !sn.nest.loops.iter().any(|h| h.kind.is_doall()) {
                 continue;
             }
-            self.ensure_deps(si);
-            let sn = &self.subnests[si];
-            let deps = self.deps[si].as_ref().and_then(|d| d.as_ref());
+            let owned;
+            let deps = match self.root_deps.filter(|_| si == 0) {
+                Some(d) => Some(d),
+                None => {
+                    owned = analyze_nest(&sn.nest).ok();
+                    owned.as_ref()
+                }
+            };
             let Some(deps) = deps else {
                 // Analysis failure: stay conservative and treat every
                 // doall level as potentially racy.
@@ -1222,6 +1223,39 @@ mod tests {
         assert_eq!(hit.detail("direction"), Some("(<)"));
         assert!(hit.message.contains("(<)"), "{}", hit.message);
         assert_eq!(hit.detail("suggested_band"), Some("none"));
+    }
+
+    #[test]
+    fn lc001_fires_on_a_negative_step_race() {
+        // Iteration order runs i downward, so A[i + 1] is written one
+        // iteration before it is read: a flow dependence, carried forward.
+        let src = "
+            array A[12];
+            doall i = 10..1 step -1 {
+                A[i] = A[i + 1] + 1;
+            }
+            ";
+        let f = lint(src);
+        let hit = f
+            .iter()
+            .find(|x| x.code == LintCode::DoallRace)
+            .expect("LC001 must fire on a reversed racy doall");
+        assert_eq!(hit.detail("kind"), Some("flow"));
+        assert_eq!(hit.detail("direction"), Some("(<)"));
+        assert!(!certifies_order_independent(&parse_program(src).unwrap()));
+    }
+
+    #[test]
+    fn lc001_fires_on_a_symbolic_negative_step_race() {
+        let src = "
+            array A[12];
+            s = 0 - 1;
+            doall i = 10..1 step s {
+                A[i] = A[i + 1] + 1;
+            }
+            ";
+        assert!(codes(&lint(src)).contains(&LintCode::DoallRace));
+        assert!(!certifies_order_independent(&parse_program(src).unwrap()));
     }
 
     #[test]

@@ -243,26 +243,27 @@ impl CoalesceResult {
 
 /// Coalesce (a band of levels of) the perfect nest rooted at `l`.
 ///
-/// Convenience wrapper over [`coalesce_band`]: extracts the nest, tries
-/// to normalize it (when `auto_normalize` is set), and runs every
-/// analysis from scratch. Nests that cannot be normalized because a
+/// Convenience wrapper over [`coalesce_band`]: extracts the nest,
+/// analyses its dependences once, and tries to normalize it (when
+/// `auto_normalize` is set). Nests that cannot be normalized because a
 /// bound is symbolic go to the per-level emitter as-is — such loops must
 /// already be in unit form `1..=U step 1`. Callers that already hold the
 /// nest and its dependence analysis — e.g. `lc-driver`'s cached pipeline
 /// — should call [`coalesce_band`] directly so nothing is recomputed.
 pub fn coalesce_loop(l: &Loop, opts: &CoalesceOptions) -> Result<CoalesceResult> {
     let nest = extract_nest(l);
+    let deps = analyze_nest(&nest)?;
     if opts.auto_normalize {
         match normalize_nest(&nest) {
-            Ok(normalized) => coalesce_band(&normalized, None, opts),
+            Ok(normalized) => coalesce_band(&normalized, &deps, opts),
             // Symbolic bounds cannot be pre-normalized; the per-level
             // emitter handles them directly.
-            Err(Error::Unsupported(r)) if r.is_symbolic() => coalesce_band(&nest, None, opts),
+            Err(Error::Unsupported(r)) if r.is_symbolic() => coalesce_band(&nest, &deps, opts),
             Err(e) => Err(e),
         }
     } else {
         crate::normalize::require_normalized(&nest.loops)?;
-        coalesce_band(&nest, None, opts)
+        coalesce_band(&nest, &deps, opts)
     }
 }
 
@@ -270,14 +271,14 @@ pub fn coalesce_loop(l: &Loop, opts: &CoalesceOptions) -> Result<CoalesceResult>
 /// symbolic index recovery **per level**.
 ///
 /// Every loop must be in unit form `1..=U step 1` (normalize first for
-/// constant bounds). `deps` optionally injects a precomputed dependence
-/// analysis of exactly this nest; when `None` (and `opts.check_legality`
-/// is set) the tester runs internally. Injecting lets a driver share one
-/// analysis between the legality check, the collapse-band advisor, and
-/// the coalescer.
+/// constant bounds). `deps` is the dependence analysis of this nest, or
+/// of the nest it was normalized from: `analyze_nest` answers in
+/// iteration order, so both describe the same levels. Taking it as an
+/// argument lets a driver share one analysis between the lints, the
+/// legality check, the collapse-band advisor, and the coalescer.
 pub fn coalesce_band(
     nest: &Nest,
-    deps: Option<&NestDeps>,
+    deps: &NestDeps,
     opts: &CoalesceOptions,
 ) -> Result<CoalesceResult> {
     precheck_band(nest, deps, opts)?;
@@ -460,11 +461,11 @@ fn emit_per_level(
 ///
 /// This is the complete legality precheck [`coalesce_band`] runs before
 /// emitting code: band range, unit form, bound invariance, and DOALL
-/// legality (dependence test + scalar privatization when
+/// legality (`deps` + scalar privatization when
 /// [`CoalesceOptions::check_legality`] is set). `Ok(())` guarantees the
 /// subsequent [`coalesce_band`] call cannot fail except on arithmetic
 /// overflow of a constant trip-count product.
-pub fn precheck_band(nest: &Nest, deps: Option<&NestDeps>, opts: &CoalesceOptions) -> Result<()> {
+pub fn precheck_band(nest: &Nest, deps: &NestDeps, opts: &CoalesceOptions) -> Result<()> {
     let depth = nest.depth();
     let (start, end) = opts.levels.unwrap_or((0, depth));
     if start >= end || end > depth {
@@ -520,7 +521,7 @@ pub fn precheck_band(nest: &Nest, deps: Option<&NestDeps>, opts: &CoalesceOption
 
 fn check_band_legality(
     nest: &Nest,
-    deps: Option<&NestDeps>,
+    deps: &NestDeps,
     start: usize,
     end: usize,
     opts: &CoalesceOptions,
@@ -541,14 +542,6 @@ fn check_band_legality(
         }
         return Ok(());
     }
-    let owned;
-    let deps = match deps {
-        Some(d) => d,
-        None => {
-            owned = analyze_nest(nest)?;
-            &owned
-        }
-    };
     for level in start..end {
         if deps.carried_at(level) {
             return Err(Error::Unsupported(SkipReason::CarriedDependence {

@@ -7,14 +7,15 @@
 //! `(=, …, =, <, >, …)` at those positions — swapping such a vector would
 //! make the sink run before the source.
 
-use lc_ir::analysis::depend::{analyze_nest, Dir};
+use lc_ir::analysis::depend::{Dir, NestDeps};
 use lc_ir::analysis::nest::extract_nest;
 use lc_ir::stmt::Loop;
 use lc_ir::{Error, Result, SkipReason};
 
 /// Interchange levels `level` and `level + 1` (0-based) of the perfect
-/// nest rooted at `l`, checking legality first.
-pub fn interchange(l: &Loop, level: usize) -> Result<Loop> {
+/// nest rooted at `l`, checking legality first against `deps`, the
+/// dependence analysis of that nest (`lc_ir::analysis::analyze_nest`).
+pub fn interchange(l: &Loop, level: usize, deps: &NestDeps) -> Result<Loop> {
     let mut nest = extract_nest(l);
     if level + 1 >= nest.depth() {
         return Err(Error::Unsupported(SkipReason::InterchangeOutOfRange {
@@ -39,7 +40,6 @@ pub fn interchange(l: &Loop, level: usize) -> Result<Loop> {
         }
     }
 
-    let deps = analyze_nest(&nest)?;
     for d in &deps.deps {
         for dv in &d.directions {
             let prefix_eq = dv[..level].iter().all(|x| *x == Dir::Eq);
@@ -59,6 +59,7 @@ pub fn interchange(l: &Loop, level: usize) -> Result<Loop> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lc_ir::analysis::depend::analyze_nest;
     use lc_ir::interp::Interp;
     use lc_ir::parser::parse_program;
     use lc_ir::program::Program;
@@ -75,10 +76,14 @@ mod tests {
             .unwrap()
     }
 
+    fn swap(l: &Loop, level: usize) -> Result<Loop> {
+        interchange(l, level, &analyze_nest(&extract_nest(l))?)
+    }
+
     fn check_interchange(src: &str, level: usize) {
         let p = parse_program(src).unwrap();
         let (idx, l) = loop_of(&p);
-        let swapped = interchange(&l, level).unwrap();
+        let swapped = swap(&l, level).unwrap();
         let mut p2 = p.clone();
         p2.body[idx] = Stmt::Loop(swapped);
         let a = Interp::new().run(&p).unwrap();
@@ -115,7 +120,7 @@ mod tests {
         )
         .unwrap();
         let (_, l) = loop_of(&p);
-        let swapped = interchange(&l, 0).unwrap();
+        let swapped = swap(&l, 0).unwrap();
         assert_eq!(swapped.var.as_str(), "j");
         assert_eq!(swapped.const_trip_count(), Some(6));
     }
@@ -153,8 +158,34 @@ mod tests {
         )
         .unwrap();
         let (_, l) = loop_of(&p);
-        let err = interchange(&l, 0).unwrap_err();
+        let err = swap(&l, 0).unwrap_err();
         assert!(matches!(err, Error::Unsupported(_)));
+    }
+
+    #[test]
+    fn interchange_sees_directions_in_iteration_order() {
+        // By value the dependence looks like (<, <); j runs downward, so
+        // in iteration order it is (<, >) and the swap is illegal.
+        let p = parse_program(
+            "
+            array A[6][6];
+            for i = 1..4 {
+                doall j = 4..1 step -1 {
+                    A[i + 1][j + 1] = A[i][j] + 1;
+                }
+            }
+            ",
+        )
+        .unwrap();
+        let (_, l) = loop_of(&p);
+        let err = swap(&l, 0).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                Error::Unsupported(SkipReason::InterchangeIllegal { .. })
+            ),
+            "{err}"
+        );
     }
 
     #[test]
@@ -188,7 +219,7 @@ mod tests {
         )
         .unwrap();
         let (_, l) = loop_of(&p);
-        let err = interchange(&l, 0).unwrap_err();
+        let err = swap(&l, 0).unwrap_err();
         match err {
             Error::Unsupported(m) => {
                 assert!(matches!(m, SkipReason::NotRectangular { .. }), "{m}")
@@ -209,6 +240,6 @@ mod tests {
         )
         .unwrap();
         let (_, l) = loop_of(&p);
-        assert!(interchange(&l, 0).is_err());
+        assert!(swap(&l, 0).is_err());
     }
 }

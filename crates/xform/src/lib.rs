@@ -26,9 +26,6 @@
 //! * [`strength`] — common-subexpression extraction over generated
 //!   recovery code (the paper's observation that adjacent indices share
 //!   their ceiling terms).
-//! * [`transform`] — the [`Transform`] trait: one uniform
-//!   name / precheck / apply contract over all of the above, so drivers
-//!   can run a data-driven pipeline instead of hand-wired calls.
 //! * [`validate`] — interpreter-based equivalence and order-independence
 //!   checking used by the test-suite to prove transformations correct.
 //!
@@ -64,9 +61,7 @@ pub mod normalize;
 pub mod perfect;
 pub mod recovery;
 pub mod strength;
-pub mod transform;
 pub mod validate;
 
 pub use coalesce::{coalesce_band, coalesce_loop, CoalesceInfo, CoalesceOptions, CoalesceResult};
 pub use recovery::{Odometer, RecoveryScheme};
-pub use transform::{Rewrite, Transform, TransformCx};

@@ -138,6 +138,11 @@ pub fn perfect_one_level(l: &Loop) -> Result<Loop> {
     // inner index to a single value, so two instances at different inner
     // indices cannot both execute — and reject every other carried-at-j
     // dependence that touches a guard statement.
+    //
+    // This is the one dependence analysis a driver runs outside its
+    // per-nest cache: it describes a candidate the pass may still reject,
+    // so no cached version of the nest exists for it yet. Once accepted,
+    // the rewritten nest is a new version, analysed again there.
     if inner.kind.is_doall() {
         let Stmt::Loop(new_inner) = &result.body[0] else {
             unreachable!()

@@ -53,8 +53,10 @@ fn main() {
     // ── 2. per-pass observability ───────────────────────────────────────
     //
     // Every pass invocation is timed and recorded; analyses (extraction,
-    // normalization, dependence testing) are cached per nest, so the
-    // counters show each one computed at most once per nest.
+    // normalization, dependence testing) are cached per nest version, so
+    // the counters show each one computed once for the nest as written
+    // and once more after each structural rewrite (perfection,
+    // interchange).
     println!("\n── pipeline trace ───────────────────────────────────────");
     print!("{}", out.trace.report());
 

@@ -10,18 +10,25 @@ use std::collections::HashMap;
 
 use proptest::prelude::*;
 
+use lc_fuzz::gen::{self, GenConfig};
+use lc_fuzz::rng::Rng;
 use loop_coalescing::ir::analysis::depend::analyze_nest;
-use loop_coalescing::ir::analysis::nest::extract_nest;
+use loop_coalescing::ir::analysis::nest::{extract_nest, Nest};
 use loop_coalescing::ir::interp::{AccessKind, Interp, Store};
 use loop_coalescing::ir::program::Program;
 use loop_coalescing::ir::stmt::{Loop, LoopKind, Stmt};
 use loop_coalescing::ir::{Expr, Symbol};
+use loop_coalescing::xform::normalize::normalize_nest;
+use loop_coalescing::xform::perfect::perfect_recursively;
 
 /// A generated nest whose subscripts are offset affine forms — rich
 /// enough to create real carried dependences in both directions.
 #[derive(Debug, Clone)]
 struct Spec {
+    /// Trip count of each level.
     dims: Vec<u64>,
+    /// Step of each level: a negative step runs its range downward.
+    steps: Vec<i64>,
     /// (write_offsets, read_offsets, read_same_array): subscript k of the
     /// write is `i_k + write_offsets[k]`, similarly for the read.
     write_off: Vec<i64>,
@@ -37,6 +44,7 @@ fn spec() -> impl Strategy<Value = Spec> {
         .prop_flat_map(|depth| {
             (
                 proptest::collection::vec(2u64..=4, depth),
+                proptest::collection::vec(proptest::sample::select([-2i64, -1, 1, 2]), depth),
                 proptest::collection::vec(-2i64..=2, depth),
                 proptest::collection::vec(-2i64..=2, depth),
                 proptest::bool::ANY,
@@ -44,8 +52,9 @@ fn spec() -> impl Strategy<Value = Spec> {
             )
         })
         .prop_map(
-            |(dims, write_off, read_off, read_same, transpose_read)| Spec {
+            |(dims, steps, write_off, read_off, read_same, transpose_read)| Spec {
                 dims,
+                steps,
                 write_off,
                 read_off,
                 read_same,
@@ -55,13 +64,15 @@ fn spec() -> impl Strategy<Value = Spec> {
 }
 
 /// Build the program: `A[iv + w] = B-or-A[iv + r] + 1` inside the nest.
-/// Subscripts are shifted by +3 so every offset stays in bounds.
+/// Level k visits `1, 1 + |step|, …` upward or downward as its step's sign
+/// says. Subscripts are shifted by +3 so every offset stays in bounds.
 fn build(s: &Spec) -> Program {
     let depth = s.dims.len();
-    // Uniform extents sized for the largest dimension so transposed
+    // Uniform extents sized for the largest index so transposed
     // subscripts stay in bounds too.
-    let max_dim = *s.dims.iter().max().unwrap() as usize;
-    let ext: Vec<usize> = vec![max_dim + 6; depth];
+    let top = |k: usize| 1 + (s.dims[k] as i64 - 1) * s.steps[k].abs();
+    let max_index = (0..depth).map(top).max().unwrap() as usize;
+    let ext: Vec<usize> = vec![max_index + 6; depth];
     let vars: Vec<Symbol> = (0..depth).map(|k| Symbol::new(format!("i{k}"))).collect();
 
     let sub = |offsets: &[i64], transpose: bool| -> Vec<Expr> {
@@ -84,13 +95,15 @@ fn build(s: &Spec) -> Program {
 
     let mut stmts = body;
     for k in (0..depth).rev() {
-        stmts = vec![Stmt::Loop(Loop::new(
-            LoopKind::Serial,
-            vars[k].clone(),
-            1,
-            s.dims[k] as i64,
-            stmts,
-        ))];
+        let (lower, upper) = if s.steps[k] > 0 {
+            (1, top(k))
+        } else {
+            (top(k), 1)
+        };
+        stmts = vec![Stmt::Loop(Loop {
+            step: Expr::lit(s.steps[k]),
+            ..Loop::new(LoopKind::Serial, vars[k].clone(), lower, upper, stmts)
+        })];
     }
     let mut p = Program::new().with_array("A", ext.clone());
     if !s.read_same {
@@ -136,8 +149,65 @@ fn dynamic_carried_levels(p: &Program, depth: usize) -> Vec<usize> {
     levels
 }
 
+fn has_guard(stmts: &[Stmt]) -> bool {
+    stmts.iter().any(|s| match s {
+        Stmt::If { .. } => true,
+        Stmt::Loop(l) => has_guard(&l.body),
+        _ => false,
+    })
+}
+
+/// The analysis of a nest as written must agree with the analysis of its
+/// normalization: equal without guards, and no less precise with them (a
+/// guard pin on a level survives only in the nest as written). Nests
+/// that do not normalize (symbolic bounds) are skipped.
+fn raw_agrees_with_normalized(nest: &Nest) -> Result<(), String> {
+    let Ok(normalized) = normalize_nest(nest) else {
+        return Ok(());
+    };
+    let raw = analyze_nest(nest).unwrap();
+    let norm = analyze_nest(&normalized).unwrap();
+    if !has_guard(&nest.body) {
+        if raw != norm {
+            return Err(format!("raw {raw:?}\nnormalized {norm:?}"));
+        }
+    } else if let Some(k) = (0..nest.depth()).find(|&k| raw.carried_at(k) && !norm.carried_at(k)) {
+        return Err(format!("raw analysis alone carries level {k}"));
+    }
+    Ok(())
+}
+
+/// The first 200 programs of the CI fuzz seed: every loop as generated
+/// and, where perfection applies, as perfected (which adds guards).
+#[test]
+fn fuzz_nests_analyse_like_their_normalization() {
+    let root = Rng::new(0xC0A1E5CE);
+    let cfg = GenConfig::default();
+    for case in 0..200 {
+        let program = gen::generate(&mut root.fork(case), &cfg).program;
+        for stmt in &program.body {
+            let Stmt::Loop(l) = stmt else { continue };
+            let mut versions = vec![l.clone()];
+            versions.extend(perfect_recursively(l).ok().filter(|p| p != l));
+            for v in versions {
+                if let Err(e) = raw_agrees_with_normalized(&extract_nest(&v)) {
+                    panic!("case {case}: {e}\n{v:?}");
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn nests_analyse_like_their_normalization(s in spec()) {
+        let p = build(&s);
+        let Stmt::Loop(l) = &p.body[0] else { unreachable!() };
+        let verdict = raw_agrees_with_normalized(&extract_nest(l));
+        prop_assert!(verdict.is_ok(), "{}\nspec: {s:?}", verdict.unwrap_err());
+    }
 
     #[test]
     fn static_analysis_covers_every_dynamic_conflict(s in spec()) {

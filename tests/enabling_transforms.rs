@@ -1,6 +1,7 @@
 //! Integration: the enabling transformations (perfection, interchange)
 //! compose with coalescing into full pipelines.
 
+use loop_coalescing::ir::analysis::{analyze_nest, extract_nest};
 use loop_coalescing::ir::interp::{DoallOrder, Interp};
 use loop_coalescing::ir::parser::parse_program;
 use loop_coalescing::ir::program::Program;
@@ -68,7 +69,9 @@ fn interchange_then_coalesce_inner_band() {
     let p = parse_program(src).unwrap();
     let original = Interp::new().run(&p).unwrap();
 
-    let swapped = interchange(&loop_at(&p, 0), 0).unwrap();
+    let l = loop_at(&p, 0);
+    let deps = analyze_nest(&extract_nest(&l)).unwrap();
+    let swapped = interchange(&l, 0, &deps).unwrap();
     assert_eq!(swapped.var.as_str(), "j");
     let out = coalesce_loop(&swapped, &CoalesceOptions::builder().levels(0, 1).build()).unwrap();
 

@@ -63,6 +63,29 @@ doall i = 1..1 {
     assert!(divergence.is_none(), "{divergence:?}");
 }
 
+/// A `doall` whose negative step reverses its iteration order carries a
+/// flow dependence forward in time. The dependence tester used to ignore
+/// `step`, so `certifies_order_independent` signed this program off and
+/// the oracle's reverse run contradicted it (`lint-unsound`). The
+/// generator only emits positive steps, so it never produced this shape.
+#[test]
+fn fuzz_oracle_audits_a_reversed_race() {
+    let src = r#"
+array A[12];
+doall i = 10..1 step -1 {
+    A[i] = A[i + 1] + 1;
+}
+"#;
+    let divergence = lc_fuzz::oracle::check_source(
+        src,
+        &lc_driver::DEFAULT_PASS_ORDER,
+        &lc_driver::DriverOptions::default(),
+        0xC0A1E5CE,
+        true,
+    );
+    assert!(divergence.is_none(), "{divergence:?}");
+}
+
 /// The CI seed must stay clean: the exact configuration the push-gate
 /// fuzz job runs, compressed to a smoke-sized prefix.
 #[test]

@@ -42,36 +42,37 @@ fn corpus_findings_match_the_committed_baseline() {
     );
 }
 
-/// The seeded racy-DOALL fixture CI feeds to the `lc-lint` CLI under
-/// `--deny doall-race`: it must trip LC001 with a direction vector, and
-/// the certificate the fuzzer trusts must refuse it.
+/// The seeded racy-DOALL fixtures CI feeds to the `lc-lint` CLI under
+/// `--deny doall-race`: each must trip LC001 with a direction vector, and
+/// the certificate the fuzzer trusts must refuse it. The reverse fixture
+/// runs its race downward by a negative step; in iteration order the
+/// dependence is still carried forward.
 #[test]
 fn racy_doall_fixture_trips_lc001() {
-    let src = std::fs::read_to_string(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/fixtures/racy_doall.lc"
-    ))
-    .expect("fixture present");
+    for name in ["racy_doall.lc", "racy_doall_reverse.lc"] {
+        let path = format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
+        let src = std::fs::read_to_string(path).expect("fixture present");
 
-    let findings = lint_source(&src, &LintSet::default()).unwrap();
-    let race = findings
-        .iter()
-        .find(|f| f.code == LintCode::DoallRace)
-        .expect("racy doall must trip LC001");
-    assert_eq!(race.severity, Severity::Warn);
-    assert_eq!(race.detail("direction"), Some("(<)"));
+        let findings = lint_source(&src, &LintSet::default()).unwrap();
+        let race = findings
+            .iter()
+            .find(|f| f.code == LintCode::DoallRace)
+            .expect("racy doall must trip LC001");
+        assert_eq!(race.severity, Severity::Warn);
+        assert_eq!(race.detail("direction"), Some("(<)"));
 
-    // Under --deny doall-race the same finding escalates.
-    let mut deny = LintSet::default();
-    deny.set_by_name("doall-race", Severity::Deny).unwrap();
-    let findings = lint_source(&src, &deny).unwrap();
-    assert!(findings
-        .iter()
-        .any(|f| f.code == LintCode::DoallRace && f.severity == Severity::Deny));
+        // Under --deny doall-race the same finding escalates.
+        let mut deny = LintSet::default();
+        deny.set_by_name("doall-race", Severity::Deny).unwrap();
+        let findings = lint_source(&src, &deny).unwrap();
+        assert!(findings
+            .iter()
+            .any(|f| f.code == LintCode::DoallRace && f.severity == Severity::Deny));
 
-    let program = lc_ir::parser::parse_program(&src).unwrap();
-    assert!(
-        !lc_lint::certifies_order_independent(&program),
-        "a racy program must never be certified order-independent"
-    );
+        let program = lc_ir::parser::parse_program(&src).unwrap();
+        assert!(
+            !lc_lint::certifies_order_independent(&program),
+            "a racy program must never be certified order-independent"
+        );
+    }
 }
