@@ -39,15 +39,7 @@ impl LoopHeader {
     /// Constant trip count if bounds and step are literals (see
     /// [`Loop::const_trip_count`]).
     pub fn const_trip_count(&self) -> Option<u64> {
-        Loop {
-            var: self.var.clone(),
-            lower: self.lower.clone(),
-            upper: self.upper.clone(),
-            step: self.step.clone(),
-            kind: self.kind,
-            body: vec![],
-        }
-        .const_trip_count()
+        crate::stmt::const_trip_count(&self.lower, &self.upper, &self.step)
     }
 
     /// True when bounds are `1..=N` with unit step, `N` constant.

@@ -85,6 +85,22 @@ pub fn gcd(a: i64, b: i64) -> i64 {
     a as i64
 }
 
+/// Iterations of `for lo..=hi step step`, exactly: computed in `i128`, so
+/// no `i64` bounds can overflow it. An empty loop has 0. `None` when
+/// `step` is 0.
+pub fn trip_count(lo: i64, hi: i64, step: i64) -> Option<u128> {
+    let (span, stride) = match step {
+        0 => return None,
+        1.. => (hi as i128 - lo as i128, step as i128),
+        _ => (lo as i128 - hi as i128, -(step as i128)),
+    };
+    Some(if span < 0 {
+        0
+    } else {
+        (span / stride) as u128 + 1
+    })
+}
+
 /// Checked product of a slice of trip counts, guarding against overflow
 /// when computing `N = N1 * N2 * ... * Nm`.
 pub fn checked_product(dims: &[u64]) -> Option<u64> {

@@ -816,10 +816,9 @@ impl Exec<'_> {
         let hi = self.expr(mem, &l.upper)?;
         let step = self.expr(mem, &l.step)?;
         self.stats.ops += l.header_ops;
-        if step == 0 {
+        let Some(trip) = arith::trip_count(lo, hi, step) else {
             return Err(Box::new(Error::ZeroStep(self.code.slots[l.slot].clone())));
-        }
-        let trip = trip_count(lo, hi, step);
+        };
         if exceeds_budget(lo, step, trip, self.budget) {
             return Err(Box::new(Error::StepBudgetExceeded {
                 budget: self.budget,
@@ -884,20 +883,6 @@ impl Exec<'_> {
         } else {
             self.block(mem, &l.body)
         }
-    }
-}
-
-/// Iterations of `for lo..=hi step step` (`step != 0`), exactly.
-fn trip_count(lo: i64, hi: i64, step: i64) -> u128 {
-    let (span, stride) = if step > 0 {
-        (hi as i128 - lo as i128, step as i128)
-    } else {
-        (lo as i128 - hi as i128, -(step as i128))
-    };
-    if span < 0 {
-        0
-    } else {
-        (span / stride) as u128 + 1
     }
 }
 

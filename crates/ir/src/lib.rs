@@ -14,8 +14,9 @@
 //! * [`rng`] — the deterministic splitmix64 stream behind seeded stores,
 //!   store sampling, and the fuzzer's generator.
 //! * [`analysis`] — perfect-nest extraction, trip-count/normalization
-//!   checks, affine subscript extraction, and GCD + Banerjee dependence
-//!   testing with direction vectors (DOALL legality).
+//!   checks, affine subscript extraction, GCD + Banerjee dependence
+//!   testing with direction vectors, and scalar flow (together, DOALL
+//!   legality).
 //!
 //! The IR is deliberately integer-only: the transformation and its legality
 //! conditions are about index arithmetic and memory disambiguation, not

@@ -94,21 +94,18 @@ impl Loop {
 
     /// Constant trip count if bounds and step are literals.
     ///
-    /// Returns `None` for symbolic bounds or zero step. A negative-trip
-    /// (empty) loop reports `Some(0)`.
+    /// Returns `None` for symbolic bounds, a zero step, or the one count
+    /// `u64` cannot hold (`2^64`, from `i64::MIN..i64::MAX`). A
+    /// negative-trip (empty) loop reports `Some(0)`.
     pub fn const_trip_count(&self) -> Option<u64> {
-        let lo = self.lower.as_const()?;
-        let hi = self.upper.as_const()?;
-        let st = self.step.as_const()?;
-        if st == 0 {
-            return None;
-        }
-        let span = if st > 0 { hi - lo } else { lo - hi };
-        if span < 0 {
-            return Some(0);
-        }
-        Some((span / st.abs()) as u64 + 1)
+        const_trip_count(&self.lower, &self.upper, &self.step)
     }
+}
+
+/// [`Loop::const_trip_count`] on bare header parts.
+pub(crate) fn const_trip_count(lower: &Expr, upper: &Expr, step: &Expr) -> Option<u64> {
+    let trip = crate::arith::trip_count(lower.as_const()?, upper.as_const()?, step.as_const()?)?;
+    u64::try_from(trip).ok()
 }
 
 /// A statement.
@@ -224,11 +221,20 @@ mod tests {
     use super::*;
     use crate::expr::Expr;
 
+    fn trips(lo: i64, hi: i64, step: i64) -> Option<u64> {
+        let mut l = Loop::new(LoopKind::Serial, "i", lo, hi, vec![]);
+        l.step = Expr::lit(step);
+        l.const_trip_count()
+    }
+
     #[test]
     fn trip_count_unit_step() {
         let l = Loop::doall("i", 10, vec![]);
         assert_eq!(l.const_trip_count(), Some(10));
         assert!(l.is_normalized());
+        // `hi - lo` overflows i64 in both.
+        assert_eq!(trips(-2, i64::MAX, 1), Some(i64::MAX as u64 + 3));
+        assert_eq!(trips(i64::MIN, 0, 1), Some(i64::MAX as u64 + 2));
     }
 
     #[test]
@@ -238,6 +244,8 @@ mod tests {
         // 3, 7, 11
         assert_eq!(l.const_trip_count(), Some(3));
         assert!(!l.is_normalized());
+        assert_eq!(trips(i64::MIN, i64::MAX, 2), Some(1 << 63));
+        assert_eq!(trips(i64::MIN, i64::MAX, i64::MAX), Some(3));
     }
 
     #[test]
@@ -246,12 +254,18 @@ mod tests {
         l.step = Expr::lit(-3);
         // 10, 7, 4, 1
         assert_eq!(l.const_trip_count(), Some(4));
+        assert_eq!(trips(i64::MAX, i64::MIN, i64::MIN), Some(2));
+        assert_eq!(trips(0, i64::MIN, -1), Some(i64::MAX as u64 + 2));
+        // 2^64 iterations: the one count no u64 holds.
+        assert_eq!(trips(i64::MAX, i64::MIN, -1), None);
     }
 
     #[test]
     fn trip_count_empty_loop() {
         let l = Loop::new(LoopKind::Serial, "i", 5, 4, vec![]);
         assert_eq!(l.const_trip_count(), Some(0));
+        assert_eq!(trips(i64::MAX, i64::MIN, 1), Some(0));
+        assert_eq!(trips(i64::MIN, i64::MAX, -1), Some(0));
     }
 
     #[test]

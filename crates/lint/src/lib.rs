@@ -6,7 +6,8 @@
 //! keyword the same way, checking correctness only dynamically. This
 //! crate supplies the missing static layer: a registry of IR-level
 //! checks built on the GCD + Banerjee dependence tester
-//! ([`lc_ir::analysis::depend`]) that emit typed, machine-readable
+//! ([`lc_ir::analysis::depend`]) and the scalar-flow analysis
+//! ([`lc_ir::analysis::scalars`]) that emit typed, machine-readable
 //! [`Finding`]s with stable codes, severities, and (when linting source
 //! text) line numbers.
 //!
@@ -18,7 +19,7 @@
 //! | LC002 | `trip-overflow`       | coalesced trip count can exceed `i64::MAX`        |
 //! | LC003 | `non-affine-subscript`| subscript analyzed conservatively                 |
 //! | LC004 | `dead-induction`      | recovered index never read in the body            |
-//! | LC005 | `reduction-in-doall`  | cross-iteration scalar / reduction in a parallel level |
+//! | LC005 | `reduction-in-doall`  | scalar carried across a `doall`'s iterations (body or inner bound) |
 //!
 //! # Soundness
 //!
@@ -43,6 +44,7 @@ use std::fmt;
 use lc_ir::analysis::affine::Affine;
 use lc_ir::analysis::depend::{analyze_nest, format_direction, NestDeps};
 use lc_ir::analysis::nest::{extract_nest, LoopHeader, Nest};
+use lc_ir::analysis::scalars::{assigned_scalars, carried_scalars, read_vars, CarriedScalar};
 use lc_ir::printer::print_expr;
 use lc_ir::{Cond, Expr, Loop, Program, Stmt, Symbol};
 
@@ -61,8 +63,9 @@ pub enum LintCode {
     /// LC004: a loop index is never read in the nest body, so its
     /// recovery code after coalescing is pure overhead.
     DeadInduction,
-    /// LC005: a recognizable reduction / cross-iteration scalar inside a
-    /// parallel level.
+    /// LC005: a scalar carried across the iterations of a parallel
+    /// level, read in the body or in an inner level's bound before the
+    /// iteration assigns it; `s = s + …` is reported as a reduction.
     ReductionInDoall,
 }
 
@@ -438,9 +441,9 @@ impl<'a> NestLinter<'a> {
             let mut product: u128 = 1;
             let mut trips = Vec::new();
             for h in &sn.nest.loops {
-                match trip_count(h, self.env) {
+                match folded_trip_count(h, self.env) {
                     Some(t) => {
-                        product = product.saturating_mul(t as u128);
+                        product = product.saturating_mul(t);
                         trips.push(t.to_string());
                     }
                     // Unknown trips count as 1 so only *provable*
@@ -511,14 +514,14 @@ impl<'a> NestLinter<'a> {
     fn lc004(&mut self, severity: Severity) -> Vec<Finding> {
         let mut out = Vec::new();
         for sn in &self.subnests {
-            let mut used = Vec::new();
+            let mut header_vars = Vec::new();
             for h in &sn.nest.loops {
-                h.lower.variables(&mut used);
-                h.upper.variables(&mut used);
-                h.step.variables(&mut used);
+                for e in [&h.lower, &h.upper, &h.step] {
+                    e.variables(&mut header_vars);
+                }
             }
-            stmt_variables(&sn.nest.body, &mut used);
-            let used: BTreeSet<Symbol> = used.into_iter().collect();
+            let mut used = read_vars(&sn.nest.body, false);
+            used.extend(header_vars);
             for (k, h) in sn.nest.loops.iter().enumerate() {
                 if used.contains(&h.var) {
                     continue;
@@ -543,30 +546,21 @@ impl<'a> NestLinter<'a> {
         out
     }
 
-    /// LC005: cross-iteration scalar (reduction idiom) inside a nest
-    /// with a parallel level.
+    /// LC005: a scalar carried across the iterations of a parallel
+    /// level. Asking about the outermost `doall` level of each (sub)nest
+    /// covers every inner one: its iterations run everything theirs do.
     fn lc005(&mut self, severity: Severity) -> Vec<Finding> {
         let mut out = Vec::new();
         let mut seen: BTreeSet<Symbol> = BTreeSet::new();
         for sn in &self.subnests {
-            if !sn.nest.loops.iter().any(|h| h.kind.is_doall()) {
+            let Some(level) = sn.nest.loops.iter().position(|h| h.kind.is_doall()) else {
                 continue;
-            }
-            let loop_vars: BTreeSet<Symbol> = sn.nest.loops.iter().map(|h| h.var.clone()).collect();
-            // A scalar never written inside the nest is loop-invariant:
-            // reading it is harmless. Only scalars the body also assigns
-            // can carry a value across iterations.
-            let mut written = BTreeSet::new();
-            scalars_assigned(&sn.nest.body, &mut written);
-            let mut assigned = BTreeSet::new();
-            let mut hits = Vec::new();
-            scan_scalars(&sn.nest.body, &mut assigned, &loop_vars, &mut hits);
-            hits.retain(|(v, _)| written.contains(v));
-            for (var, is_reduction) in hits {
+            };
+            for CarriedScalar { var, reduction } in carried_scalars(&sn.nest, level) {
                 if !seen.insert(var.clone()) {
                     continue; // already reported at an outer (sub)nest
                 }
-                let message = if is_reduction {
+                let message = if reduction {
                     format!(
                         "scalar `{var}` forms a reduction (`{var} = {var} ⊕ …`) inside \
                          a parallel level; iterations are not independent — apply a \
@@ -590,7 +584,7 @@ impl<'a> NestLinter<'a> {
                         detail("var", var.to_string()),
                         detail(
                             "idiom",
-                            if is_reduction {
+                            if reduction {
                                 "reduction"
                             } else {
                                 "cross-iteration"
@@ -729,130 +723,6 @@ fn cond_refs(c: &Cond, ordinal: usize, f: &mut impl FnMut(usize, &Symbol, usize,
     }
 }
 
-/// Collect every variable mentioned anywhere in `stmts` (bounds, bodies,
-/// conditions, subscripts).
-fn stmt_variables(stmts: &[Stmt], out: &mut Vec<Symbol>) {
-    for s in stmts {
-        match s {
-            Stmt::AssignScalar { value, .. } => value.variables(out),
-            Stmt::AssignArray { target, value } => {
-                for ix in &target.indices {
-                    ix.variables(out);
-                }
-                value.variables(out);
-            }
-            Stmt::Loop(l) => {
-                l.lower.variables(out);
-                l.upper.variables(out);
-                l.step.variables(out);
-                stmt_variables(&l.body, out);
-            }
-            Stmt::If {
-                cond,
-                then_body,
-                else_body,
-            } => {
-                cond.variables(out);
-                stmt_variables(then_body, out);
-                stmt_variables(else_body, out);
-            }
-        }
-    }
-}
-
-/// Every scalar assigned anywhere in `stmts` (any branch, any depth).
-fn scalars_assigned(stmts: &[Stmt], out: &mut BTreeSet<Symbol>) {
-    for s in stmts {
-        match s {
-            Stmt::AssignScalar { var, .. } => {
-                out.insert(var.clone());
-            }
-            Stmt::AssignArray { .. } => {}
-            Stmt::Loop(l) => scalars_assigned(&l.body, out),
-            Stmt::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                scalars_assigned(then_body, out);
-                scalars_assigned(else_body, out);
-            }
-        }
-    }
-}
-
-/// In-execution-order read-before-definite-assignment scan for scalars.
-/// `hits` receives `(var, is_reduction_idiom)` per offending read.
-fn scan_scalars(
-    stmts: &[Stmt],
-    assigned: &mut BTreeSet<Symbol>,
-    loop_vars: &BTreeSet<Symbol>,
-    hits: &mut Vec<(Symbol, bool)>,
-) {
-    for s in stmts {
-        match s {
-            Stmt::AssignScalar { var, value } => {
-                let mut reads = Vec::new();
-                value.variables(&mut reads);
-                for v in reads {
-                    if !assigned.contains(&v) && !loop_vars.contains(&v) {
-                        hits.push((v.clone(), v == *var));
-                    }
-                }
-                assigned.insert(var.clone());
-            }
-            Stmt::AssignArray { target, value } => {
-                let mut reads = Vec::new();
-                for ix in &target.indices {
-                    ix.variables(&mut reads);
-                }
-                value.variables(&mut reads);
-                for v in reads {
-                    if !assigned.contains(&v) && !loop_vars.contains(&v) {
-                        hits.push((v, false));
-                    }
-                }
-            }
-            Stmt::Loop(l) => {
-                let mut reads = Vec::new();
-                l.lower.variables(&mut reads);
-                l.upper.variables(&mut reads);
-                l.step.variables(&mut reads);
-                for v in reads {
-                    if !assigned.contains(&v) && !loop_vars.contains(&v) {
-                        hits.push((v, false));
-                    }
-                }
-                let mut inner_vars = loop_vars.clone();
-                inner_vars.insert(l.var.clone());
-                // The body may run zero times: its assignments are not
-                // definite afterwards, so scan with a throwaway set.
-                let mut inner_assigned = assigned.clone();
-                scan_scalars(&l.body, &mut inner_assigned, &inner_vars, hits);
-            }
-            Stmt::If {
-                cond,
-                then_body,
-                else_body,
-            } => {
-                let mut reads = Vec::new();
-                cond.variables(&mut reads);
-                for v in reads {
-                    if !assigned.contains(&v) && !loop_vars.contains(&v) {
-                        hits.push((v, false));
-                    }
-                }
-                let mut t = assigned.clone();
-                scan_scalars(then_body, &mut t, loop_vars, hits);
-                let mut e = assigned.clone();
-                scan_scalars(else_body, &mut e, loop_vars, hits);
-                // Definite only on both paths.
-                *assigned = t.intersection(&e).cloned().collect();
-            }
-        }
-    }
-}
-
 /// Fold an expression to a constant under `env`. Division and modulus
 /// are deliberately not folded (their rounding conventions belong to the
 /// interpreter); `None` means "unknown", which LC002 treats as 1 so only
@@ -879,25 +749,9 @@ fn eval_const(e: &Expr, env: &ConstEnv) -> Option<i64> {
 }
 
 /// Trip count of a header whose bounds fold to constants under `env`.
-fn trip_count(h: &LoopHeader, env: &ConstEnv) -> Option<u64> {
-    let lo = eval_const(&h.lower, env)? as i128;
-    let hi = eval_const(&h.upper, env)? as i128;
-    let st = eval_const(&h.step, env)? as i128;
-    if st == 0 {
-        return None;
-    }
-    let trips = if st > 0 {
-        if hi < lo {
-            0
-        } else {
-            (hi - lo) / st + 1
-        }
-    } else if lo < hi {
-        0
-    } else {
-        (lo - hi) / (-st) + 1
-    };
-    u64::try_from(trips).ok()
+fn folded_trip_count(h: &LoopHeader, env: &ConstEnv) -> Option<u128> {
+    let [lo, hi, step] = [&h.lower, &h.upper, &h.step].map(|e| eval_const(e, env));
+    lc_ir::arith::trip_count(lo?, hi?, step?)
 }
 
 /// Lint a whole program: walk top-level statements in order, building
@@ -935,9 +789,7 @@ pub fn absorb_stmt(env: &mut ConstEnv, s: &Stmt) {
         },
         Stmt::AssignArray { .. } => {}
         Stmt::Loop(_) | Stmt::If { .. } => {
-            let mut assigned = BTreeSet::new();
-            scalars_assigned(std::slice::from_ref(s), &mut assigned);
-            for var in assigned {
+            for var in assigned_scalars(std::slice::from_ref(s), false) {
                 env.remove(&var);
             }
         }
@@ -1034,8 +886,10 @@ fn loop_header_lines(src: &str) -> Vec<usize> {
 ///
 /// 1. no LC001 finding — every `doall` level of every (sub)nest is
 ///    dependence-free under the conservative tester;
-/// 2. no LC005 finding — no cross-iteration scalar inside a nest with a
-///    parallel level;
+/// 2. no LC005 finding — no scalar is carried across the iterations of
+///    the outermost `doall` level of any (sub)nest, whether it is read in
+///    the body or in an inner level's bound
+///    ([`lc_ir::analysis::scalars::carried_scalars`]);
 /// 3. no scalar assigned under a `doall` loop is read after that loop
 ///    completes (a last-writer-wins scalar escaping into later code
 ///    would leak the iteration order).
@@ -1060,7 +914,9 @@ pub fn certifies_order_independent(prog: &Program) -> bool {
 /// reassignment un-poisons a scalar.
 fn scan_escapes(stmts: &[Stmt], poisoned: &mut BTreeSet<Symbol>, definite: bool) -> bool {
     for s in stmts {
-        if reads_any_of(s, poisoned) {
+        // A loop index shadows a poisoned scalar of the same name only
+        // within that loop's body.
+        if !poisoned.is_empty() && !read_vars(std::slice::from_ref(s), true).is_disjoint(poisoned) {
             return false;
         }
         match s {
@@ -1075,15 +931,13 @@ fn scan_escapes(stmts: &[Stmt], poisoned: &mut BTreeSet<Symbol>, definite: bool)
                 // reaches the reads at the start of trip `t+1`, so the
                 // body starts out poisoned by its own doall writes.
                 let mut inner = poisoned.clone();
-                doall_assigned_scalars(&l.body, false, &mut inner);
+                inner.extend(assigned_scalars(&l.body, true));
                 if !scan_escapes(&l.body, &mut inner, false) {
                     return false;
                 }
                 // After the loop completes, every scalar assigned under a
                 // doall within it is order-dependent.
-                let mut w = BTreeSet::new();
-                doall_assigned_scalars(std::slice::from_ref(s), false, &mut w);
-                poisoned.extend(w);
+                poisoned.extend(assigned_scalars(std::slice::from_ref(s), true));
             }
             Stmt::If {
                 then_body,
@@ -1098,97 +952,11 @@ fn scan_escapes(stmts: &[Stmt], poisoned: &mut BTreeSet<Symbol>, definite: bool)
                 if !scan_escapes(else_body, &mut e, false) {
                     return false;
                 }
-                let mut w = BTreeSet::new();
-                doall_assigned_scalars(std::slice::from_ref(s), false, &mut w);
-                poisoned.extend(w);
+                poisoned.extend(assigned_scalars(std::slice::from_ref(s), true));
             }
         }
     }
     true
-}
-
-/// Scalars assigned anywhere in `stmts` with at least one enclosing
-/// `doall` loop inside this subtree.
-fn doall_assigned_scalars(stmts: &[Stmt], under_doall: bool, out: &mut BTreeSet<Symbol>) {
-    for s in stmts {
-        match s {
-            Stmt::AssignScalar { var, .. } => {
-                if under_doall {
-                    out.insert(var.clone());
-                }
-            }
-            Stmt::AssignArray { .. } => {}
-            Stmt::Loop(l) => doall_assigned_scalars(&l.body, under_doall || l.kind.is_doall(), out),
-            Stmt::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                doall_assigned_scalars(then_body, under_doall, out);
-                doall_assigned_scalars(else_body, under_doall, out);
-            }
-        }
-    }
-}
-
-/// True when any variable read anywhere in `s` (bounds, conditions,
-/// subscripts, values) is in `set`. Scope-aware: a loop variable
-/// shadows an outer scalar of the same name only within that loop's
-/// body.
-fn reads_any_of(s: &Stmt, set: &BTreeSet<Symbol>) -> bool {
-    if set.is_empty() {
-        return false;
-    }
-    let mut bound = BTreeSet::new();
-    stmt_reads_of(s, set, &mut bound)
-}
-
-fn expr_reads_of(e: &Expr, set: &BTreeSet<Symbol>, bound: &BTreeSet<Symbol>) -> bool {
-    let mut vars = Vec::new();
-    e.variables(&mut vars);
-    vars.iter().any(|v| set.contains(v) && !bound.contains(v))
-}
-
-fn cond_reads_of(c: &Cond, set: &BTreeSet<Symbol>, bound: &BTreeSet<Symbol>) -> bool {
-    let mut vars = Vec::new();
-    c.variables(&mut vars);
-    vars.iter().any(|v| set.contains(v) && !bound.contains(v))
-}
-
-fn stmt_reads_of(s: &Stmt, set: &BTreeSet<Symbol>, bound: &mut BTreeSet<Symbol>) -> bool {
-    match s {
-        Stmt::AssignScalar { value, .. } => expr_reads_of(value, set, bound),
-        Stmt::AssignArray { target, value } => {
-            target
-                .indices
-                .iter()
-                .any(|ix| expr_reads_of(ix, set, bound))
-                || expr_reads_of(value, set, bound)
-        }
-        Stmt::Loop(l) => {
-            if expr_reads_of(&l.lower, set, bound)
-                || expr_reads_of(&l.upper, set, bound)
-                || expr_reads_of(&l.step, set, bound)
-            {
-                return true;
-            }
-            let fresh = bound.insert(l.var.clone());
-            let hit = l.body.iter().any(|b| stmt_reads_of(b, set, bound));
-            if fresh {
-                bound.remove(&l.var);
-            }
-            hit
-        }
-        Stmt::If {
-            cond,
-            then_body,
-            else_body,
-        } => {
-            cond_reads_of(cond, set, bound)
-                || then_body.iter().any(|b| stmt_reads_of(b, set, bound))
-                || else_body.iter().any(|b| stmt_reads_of(b, set, bound))
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1457,6 +1225,52 @@ mod tests {
             .expect("s = s + … is a reduction in a doall");
         assert_eq!(hit.detail("var"), Some("s"));
         assert_eq!(hit.detail("idiom"), Some("reduction"));
+    }
+
+    #[test]
+    fn lc005_fires_on_a_scalar_read_in_an_inner_bound() {
+        // The inner bound is evaluated inside each iteration of `doall
+        // i`, after an earlier iteration may have run `t = 5`.
+        for inner in ["for", "doall"] {
+            let src = format!(
+                "
+                array A[4][5];
+                t = 2;
+                doall i = 1..4 {{
+                    {inner} j = 1..t {{
+                        A[i][j] = i + j;
+                        t = 5;
+                    }}
+                }}
+                "
+            );
+            let f = lint(&src);
+            let hit = f
+                .iter()
+                .find(|x| x.code == LintCode::ReductionInDoall)
+                .unwrap_or_else(|| panic!("`{inner} j = 1..t` reads t in the doall: {f:?}"));
+            assert_eq!(hit.detail("var"), Some("t"));
+            assert_eq!(hit.detail("idiom"), Some("cross-iteration"));
+            assert!(!certifies_order_independent(&parse_program(&src).unwrap()));
+        }
+    }
+
+    #[test]
+    fn lc005_inner_bound_carried_by_a_serial_level_is_fine() {
+        // Here the bound read is carried across `for i`, not the doall.
+        let f = lint(
+            "
+            array A[4][5];
+            t = 2;
+            for i = 1..4 {
+                doall j = 1..t {
+                    A[i][j] = i + j;
+                    t = 5;
+                }
+            }
+            ",
+        );
+        assert!(!codes(&f).contains(&LintCode::ReductionInDoall), "{f:?}");
     }
 
     #[test]

@@ -1,21 +1,38 @@
-//! Property-level soundness of the race lint: LC001 is the analyzer's
-//! promise that a `doall` nest has no cross-iteration conflict, so any
-//! constant-bound nest (rank ≤ 4) the lint passes clean must produce a
-//! byte-identical final store whether its `doall` levels iterate
-//! forward or reversed. This is the in-tree miniature of the
+//! Property-level soundness of the order-independence certificate:
+//! `certifies_order_independent` promises that a program's `doall`
+//! iterations communicate through no array element (LC001) and no scalar
+//! (LC005, plus the escape rule), so any nest (rank ≤ 4) it certifies
+//! must produce a byte-identical final store whether its `doall` levels
+//! iterate forward or reversed. This is the in-tree miniature of the
 //! `lint-unsound` oracle `lc-fuzz` runs at scale.
 
 use proptest::prelude::*;
 
 use lc_ir::interp::{DoallOrder, Interp, Store};
 use lc_ir::{ArrayRef, Expr, Loop, LoopKind, Program, Stmt, Symbol};
-use lc_lint::{lint_program, LintCode, LintSet, Severity};
+use lc_lint::certifies_order_independent;
 
-/// A random rank-1..4 constant `doall` nest writing
+/// How the nest uses an optional scalar `t`, assigned `dims[last]`
+/// before the nest.
+#[derive(Debug, Clone, Copy)]
+enum ScalarUse {
+    /// No scalar.
+    None,
+    /// `t = i0; A[…] = … + t;`: private to each iteration.
+    WrittenThenRead,
+    /// `A[…] = … + t; t = i0;`: carried across iterations.
+    ReadBeforeWrite,
+    /// The innermost level is a serial `for … = 1..t` and the body writes
+    /// `t = dims[last] + 1`: carried through the bound (rank ≥ 2). A
+    /// serial level keeps the escape rule out of it: only LC005 sees it.
+    InnerBound,
+}
+
+/// A random rank-1..4 `doall` nest writing
 /// `A[i_k + w_k] = (A|B)[i_k + r_k] + 1`, with optional transposition of
 /// the innermost two read subscripts — the same access shapes the
 /// dependence-analyzer soundness suite uses, rich enough to produce
-/// both racy and clean nests.
+/// both racy and clean nests — and an optional scalar.
 #[derive(Debug, Clone)]
 struct Spec {
     dims: Vec<u64>,
@@ -23,6 +40,7 @@ struct Spec {
     read_off: Vec<i64>,
     read_same: bool,
     transpose_read: bool,
+    scalar: ScalarUse,
 }
 
 fn spec() -> impl Strategy<Value = Spec> {
@@ -34,21 +52,29 @@ fn spec() -> impl Strategy<Value = Spec> {
                 proptest::collection::vec(-2i64..=2, rank),
                 proptest::bool::ANY,
                 proptest::bool::ANY,
+                0u8..4,
             )
         })
         .prop_map(
-            |(dims, write_off, read_off, read_same, transpose_read)| Spec {
+            |(dims, write_off, read_off, read_same, transpose_read, scalar)| Spec {
                 dims,
                 write_off,
                 read_off,
                 read_same,
                 transpose_read,
+                scalar: [
+                    ScalarUse::None,
+                    ScalarUse::WrittenThenRead,
+                    ScalarUse::ReadBeforeWrite,
+                    ScalarUse::InnerBound,
+                ][scalar as usize],
             },
         )
 }
 
 /// Build the program; subscripts are shifted by +3 so every offset in
-/// -2..=2 stays in bounds for extent `max_dim + 6`.
+/// -2..=2 stays in bounds for extent `max_dim + 6`, even when the
+/// innermost level runs one trip longer through `t`.
 fn build(s: &Spec) -> Program {
     let rank = s.dims.len();
     let max_dim = *s.dims.iter().max().unwrap() as usize;
@@ -69,18 +95,46 @@ fn build(s: &Spec) -> Program {
     };
 
     let read_array = if s.read_same { "A" } else { "B" };
+    let mut value = Expr::read(read_array, sub(&s.read_off, s.transpose_read)) + Expr::lit(1);
+    let t = Symbol::new("t");
+    let inner_dim = s.dims[rank - 1] as i64;
+    let set_t = |v: Expr| Stmt::AssignScalar {
+        var: t.clone(),
+        value: v,
+    };
+    if matches!(
+        s.scalar,
+        ScalarUse::WrittenThenRead | ScalarUse::ReadBeforeWrite
+    ) {
+        value = value + Expr::Var(t.clone());
+    }
     let mut stmts = vec![Stmt::AssignArray {
         target: ArrayRef::new("A", sub(&s.write_off, false)),
-        value: Expr::read(read_array, sub(&s.read_off, s.transpose_read)) + Expr::lit(1),
+        value,
     }];
+    match s.scalar {
+        ScalarUse::None => {}
+        ScalarUse::WrittenThenRead => stmts.insert(0, set_t(Expr::Var(vars[0].clone()))),
+        ScalarUse::ReadBeforeWrite => stmts.push(set_t(Expr::Var(vars[0].clone()))),
+        ScalarUse::InnerBound => stmts.push(set_t(Expr::lit(inner_dim + 1))),
+    }
+    let inner_bound = matches!(s.scalar, ScalarUse::InnerBound) && rank >= 2;
     for k in (0..rank).rev() {
+        let (kind, upper) = if inner_bound && k == rank - 1 {
+            (LoopKind::Serial, Expr::Var(t.clone()))
+        } else {
+            (LoopKind::Doall, Expr::lit(s.dims[k] as i64))
+        };
         stmts = vec![Stmt::Loop(Loop::new(
-            LoopKind::Doall,
+            kind,
             vars[k].clone(),
             1,
-            s.dims[k] as i64,
+            upper,
             stmts,
         ))];
+    }
+    if !matches!(s.scalar, ScalarUse::None) {
+        stmts.insert(0, set_t(Expr::lit(inner_dim)));
     }
     let mut p = Program::new().with_array("A", ext.clone());
     if !s.read_same {
@@ -94,15 +148,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
     #[test]
-    fn lc001_clean_nests_are_order_independent(s in spec()) {
+    fn certified_nests_are_order_independent(s in spec()) {
         let p = build(&s);
         p.check().unwrap();
 
-        let set = LintSet::all_allow().with(LintCode::DoallRace, Severity::Warn);
-        if !lint_program(&p, &set).is_empty() {
-            // The lint found a race; nothing is promised. (The converse
-            // — a racy nest the lint misses — is exactly what the
-            // assertion below would catch on a clean verdict.)
+        if !certifies_order_independent(&p) {
+            // No certificate; nothing is promised. (The converse — a
+            // racy nest the lint misses — is exactly what the assertion
+            // below would catch on a certified one.)
             return Ok(());
         }
 
@@ -113,11 +166,11 @@ proptest! {
                 .run_on(&p, base.clone())
                 .map(|(store, _)| store.digest())
         };
-        let forward = run(DoallOrder::Forward).expect("clean nest must execute");
-        let reverse = run(DoallOrder::Reverse).expect("clean nest must execute");
+        let forward = run(DoallOrder::Forward).expect("certified nest must execute");
+        let reverse = run(DoallOrder::Reverse).expect("certified nest must execute");
         prop_assert_eq!(
             forward, reverse,
-            "LC001 passed this nest clean but its result is order-dependent\nspec: {:?}",
+            "this nest is certified but its result is order-dependent\nspec: {:?}",
             s
         );
     }

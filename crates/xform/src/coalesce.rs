@@ -50,16 +50,20 @@
 //!    DOALL-legal) — either the programmer marked every level `doall`, or
 //!    [`CoalesceOptions::check_legality`] lets the dependence tester prove
 //!    it, and
-//! 3. every scalar assigned in the body is dead on entry to each iteration
-//!    (privatizable): the body never reads it before writing it. Scalar
-//!    reductions (`s = s + …`) are rejected.
+//! 3. no coalesced level carries a scalar: one iteration of the band's
+//!    outermost level never reads a scalar the body assigns before
+//!    assigning it, counting reads in the inner levels' bounds, which it
+//!    evaluates too ([`lc_ir::analysis::scalars::carried_scalars`]). Such
+//!    scalars are privatizable; scalar reductions (`s = s + …`) are
+//!    rejected.
 
 use std::collections::HashSet;
 
 use lc_ir::analysis::depend::{analyze_nest, NestDeps};
 use lc_ir::analysis::nest::{extract_nest, LoopHeader, Nest};
+use lc_ir::analysis::scalars::{carried_scalars, mentioned, visit_symbols, Mention};
 use lc_ir::build::ExprBuilder;
-use lc_ir::expr::{Cond, Expr};
+use lc_ir::expr::Expr;
 use lc_ir::stmt::{Loop, LoopKind, Stmt};
 use lc_ir::symbol::Symbol;
 use lc_ir::{Error, Result, SkipReason};
@@ -499,11 +503,12 @@ pub fn precheck_band(nest: &Nest, deps: &NestDeps, opts: &CoalesceOptions) -> Re
     // mention a variable assigned inside the nest or any nest index.
     // (Constant bounds mention no variables; the scan is skipped.)
     if band.iter().any(|h| h.upper.as_const().is_none()) {
-        let mut assigned = Vec::new();
-        collect_assigned(&nest.body, &mut assigned);
-        for h in &nest.loops {
-            assigned.push(h.var.clone());
-        }
+        let mut assigned: Vec<Symbol> = nest.loops.iter().map(|h| h.var.clone()).collect();
+        visit_symbols(&nest.body, &mut |v, m| {
+            if matches!(m, Mention::Assign { .. } | Mention::Index) {
+                assigned.push(v.clone());
+            }
+        });
         for h in band {
             let mut vars = Vec::new();
             h.upper.variables(&mut vars);
@@ -550,7 +555,7 @@ fn check_band_legality(
             }));
         }
     }
-    scalar_privatization_ok(nest, start, end)
+    scalar_privatization_ok(nest, start)
 }
 
 /// Rebuild one preserved nest level around `body`.
@@ -596,178 +601,21 @@ fn used_symbols(nest: &Nest) -> HashSet<String> {
         h.upper.variables(&mut syms);
         h.step.variables(&mut syms);
     }
-    collect_stmt_symbols(&nest.body, &mut syms);
+    syms.extend(mentioned(&nest.body));
     syms.into_iter().map(|s| s.as_str().to_string()).collect()
 }
 
-fn collect_stmt_symbols(stmts: &[Stmt], out: &mut Vec<Symbol>) {
-    for s in stmts {
-        match s {
-            Stmt::AssignScalar { var, value } => {
-                out.push(var.clone());
-                value.variables(out);
-            }
-            Stmt::AssignArray { target, value } => {
-                out.push(target.array.clone());
-                for ix in &target.indices {
-                    ix.variables(out);
-                }
-                value.variables(out);
-            }
-            Stmt::Loop(l) => {
-                out.push(l.var.clone());
-                l.lower.variables(out);
-                l.upper.variables(out);
-                l.step.variables(out);
-                collect_stmt_symbols(&l.body, out);
-            }
-            Stmt::If {
-                cond,
-                then_body,
-                else_body,
-            } => {
-                cond.variables(out);
-                collect_stmt_symbols(then_body, out);
-                collect_stmt_symbols(else_body, out);
-            }
-        }
+/// Verify that no scalar is carried across the iterations of level
+/// `start`, the outermost coalesced level: each one the body assigns can
+/// be privatized per iteration, so iterations do not communicate through
+/// it. The first carried scalar names the skip.
+pub(crate) fn scalar_privatization_ok(nest: &Nest, start: usize) -> Result<()> {
+    match carried_scalars(nest, start).into_iter().next() {
+        Some(c) => Err(Error::Unsupported(SkipReason::ScalarReduction {
+            var: c.var,
+        })),
+        None => Ok(()),
     }
-}
-
-/// Everything *assigned* in the statements: scalar targets plus loop
-/// index variables (used to prove banded bounds loop-invariant).
-fn collect_assigned(stmts: &[Stmt], out: &mut Vec<Symbol>) {
-    for s in stmts {
-        match s {
-            Stmt::AssignScalar { var, .. } => out.push(var.clone()),
-            Stmt::AssignArray { .. } => {}
-            Stmt::Loop(l) => {
-                out.push(l.var.clone());
-                collect_assigned(&l.body, out);
-            }
-            Stmt::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                collect_assigned(then_body, out);
-                collect_assigned(else_body, out);
-            }
-        }
-    }
-}
-
-/// Verify that every scalar assigned anywhere in the (sub)nest body is
-/// written before it is read on every path — i.e. it can be privatized per
-/// iteration, so iterations do not communicate through it.
-pub(crate) fn scalar_privatization_ok(nest: &Nest, _start: usize, end: usize) -> Result<()> {
-    let mut assigned = HashSet::new();
-    collect_assigned_scalars(&nest.body, &mut assigned);
-
-    // Variables defined on entry to each iteration: every nest level var
-    // (coalesced and outer vars via recovery/outer loops, inner vars by
-    // their preserved loops).
-    let mut defined: HashSet<Symbol> = nest.loops.iter().map(|h| h.var.clone()).collect();
-    // The preserved inner headers execute per coalesced iteration: their
-    // bound expressions are reads too.
-    for h in &nest.loops[end..] {
-        check_reads_expr(&h.lower, &assigned, &defined)?;
-        check_reads_expr(&h.upper, &assigned, &defined)?;
-        check_reads_expr(&h.step, &assigned, &defined)?;
-    }
-    walk_check(&nest.body, &assigned, &mut defined)
-}
-
-fn collect_assigned_scalars(stmts: &[Stmt], out: &mut HashSet<Symbol>) {
-    for s in stmts {
-        match s {
-            Stmt::AssignScalar { var, .. } => {
-                out.insert(var.clone());
-            }
-            Stmt::AssignArray { .. } => {}
-            Stmt::Loop(l) => collect_assigned_scalars(&l.body, out),
-            Stmt::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                collect_assigned_scalars(then_body, out);
-                collect_assigned_scalars(else_body, out);
-            }
-        }
-    }
-}
-
-fn check_reads_expr(e: &Expr, assigned: &HashSet<Symbol>, defined: &HashSet<Symbol>) -> Result<()> {
-    let mut vars = Vec::new();
-    e.variables(&mut vars);
-    for v in vars {
-        if assigned.contains(&v) && !defined.contains(&v) {
-            return Err(Error::Unsupported(SkipReason::ScalarReduction { var: v }));
-        }
-    }
-    Ok(())
-}
-
-fn check_reads_cond(c: &Cond, assigned: &HashSet<Symbol>, defined: &HashSet<Symbol>) -> Result<()> {
-    match c {
-        Cond::Cmp(_, a, b) => {
-            check_reads_expr(a, assigned, defined)?;
-            check_reads_expr(b, assigned, defined)
-        }
-        Cond::Not(x) => check_reads_cond(x, assigned, defined),
-        Cond::And(a, b) | Cond::Or(a, b) => {
-            check_reads_cond(a, assigned, defined)?;
-            check_reads_cond(b, assigned, defined)
-        }
-    }
-}
-
-fn walk_check(
-    stmts: &[Stmt],
-    assigned: &HashSet<Symbol>,
-    defined: &mut HashSet<Symbol>,
-) -> Result<()> {
-    for s in stmts {
-        match s {
-            Stmt::AssignScalar { var, value } => {
-                check_reads_expr(value, assigned, defined)?;
-                defined.insert(var.clone());
-            }
-            Stmt::AssignArray { target, value } => {
-                for ix in &target.indices {
-                    check_reads_expr(ix, assigned, defined)?;
-                }
-                check_reads_expr(value, assigned, defined)?;
-            }
-            Stmt::Loop(l) => {
-                check_reads_expr(&l.lower, assigned, defined)?;
-                check_reads_expr(&l.upper, assigned, defined)?;
-                check_reads_expr(&l.step, assigned, defined)?;
-                let mut inner = defined.clone();
-                inner.insert(l.var.clone());
-                walk_check(&l.body, assigned, &mut inner)?;
-                // The loop may run zero times: definitions inside it are
-                // not guaranteed afterwards, so `defined` is unchanged.
-            }
-            Stmt::If {
-                cond,
-                then_body,
-                else_body,
-            } => {
-                check_reads_cond(cond, assigned, defined)?;
-                let mut d_then = defined.clone();
-                walk_check(then_body, assigned, &mut d_then)?;
-                let mut d_else = defined.clone();
-                walk_check(else_body, assigned, &mut d_else)?;
-                // Defined afterwards = defined on both paths.
-                for v in d_then.intersection(&d_else) {
-                    defined.insert(v.clone());
-                }
-            }
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -1421,8 +1269,7 @@ mod tests {
             Stmt::AssignScalar { var, .. } => assert_eq!(var.as_str(), "lcs_total"),
             other => panic!("unexpected preamble stmt {other:?}"),
         }
-        let mut vars = Vec::new();
-        collect_stmt_symbols(&out.transformed.body, &mut vars);
+        let vars = mentioned(&out.transformed.body);
         assert!(
             !vars.iter().any(|v| v.as_str().starts_with("lcs")),
             "recovery must use literal strides, got {vars:?}"

@@ -33,12 +33,16 @@ pub fn normalize_loop(l: &Loop) -> Result<Loop> {
     if step == 0 {
         return Err(Error::ZeroStep(l.var.clone()));
     }
-    let trip = l.const_trip_count().ok_or_else(|| {
+    let hi = l.upper.as_const().ok_or_else(|| {
         Error::Unsupported(SkipReason::SymbolicBound {
             var: l.var.clone(),
             part: BoundPart::Upper,
         })
     })?;
+    // The trip count becomes the new upper bound, so it must fit `i64`.
+    let trip = lc_ir::arith::trip_count(lo, hi, step)
+        .and_then(|t| i64::try_from(t).ok())
+        .ok_or(Error::Overflow)?;
 
     // i = lo + (i' - 1) * step, substituted everywhere i occurred.
     let replacement =
@@ -51,7 +55,7 @@ pub fn normalize_loop(l: &Loop) -> Result<Loop> {
     Ok(Loop {
         var: l.var.clone(),
         lower: Expr::lit(1),
-        upper: Expr::lit(trip as i64),
+        upper: Expr::lit(trip),
         step: Expr::lit(1),
         kind: l.kind,
         body,
@@ -177,6 +181,19 @@ mod tests {
         let norm = normalize_loop(&loop_of(&p)).unwrap();
         assert!(norm.kind.is_doall());
         assert_eq!(norm.const_trip_count(), Some(8));
+    }
+
+    #[test]
+    fn a_trip_count_beyond_i64_is_an_overflow() {
+        let p =
+            parse_program("array A[1]; for i = (-2)..9223372036854775807 { A[1] = 0; }").unwrap();
+        assert_eq!(normalize_loop(&loop_of(&p)), Err(Error::Overflow));
+        // One trip fewer still fits: the normalized bound is i64::MAX.
+        let p = parse_program("array A[1]; for i = 0..9223372036854775806 { A[1] = 0; }").unwrap();
+        assert_eq!(
+            normalize_loop(&loop_of(&p)).unwrap().upper,
+            Expr::lit(i64::MAX)
+        );
     }
 
     #[test]

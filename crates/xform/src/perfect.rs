@@ -34,6 +34,7 @@
 
 use lc_ir::analysis::depend::analyze_nest;
 use lc_ir::analysis::nest::extract_nest;
+use lc_ir::analysis::scalars::{visit_symbols, Mention};
 use lc_ir::expr::{CmpOp, Cond, Expr};
 use lc_ir::stmt::{Loop, Stmt};
 use lc_ir::{Error, Result, SkipReason};
@@ -84,16 +85,19 @@ pub fn perfect_one_level(l: &Loop) -> Result<Loop> {
     let prologue: Vec<Stmt> = l.body[..pos].to_vec();
     let epilogue: Vec<Stmt> = l.body[pos + 1..].to_vec();
 
-    // Prologue/epilogue must not use or redefine the inner loop variable.
-    for s in prologue.iter().chain(&epilogue) {
-        let mut vars = Vec::new();
-        collect_stmt_vars(s, &mut vars);
-        if vars.contains(&inner.var) {
-            return Err(Error::unsupported(format!(
-                "statement outside the inner loop mentions its index `{}`",
-                inner.var
-            )));
-        }
+    // Prologue/epilogue must not read or assign the inner loop variable.
+    let mut mentions_index = false;
+    for stmts in [&prologue, &epilogue] {
+        visit_symbols(stmts, &mut |v, m| {
+            mentions_index |=
+                *v == inner.var && matches!(m, Mention::Read { .. } | Mention::Assign { .. });
+        });
+    }
+    if mentions_index {
+        return Err(Error::unsupported(format!(
+            "statement outside the inner loop mentions its index `{}`",
+            inner.var
+        )));
     }
 
     let jv = Expr::Var(inner.var.clone());
@@ -194,39 +198,6 @@ pub fn perfect_recursively(l: &Loop) -> Result<Loop> {
         }
     }
     Ok(current)
-}
-
-fn collect_stmt_vars(s: &Stmt, out: &mut Vec<lc_ir::Symbol>) {
-    match s {
-        Stmt::AssignScalar { var, value } => {
-            out.push(var.clone());
-            value.variables(out);
-        }
-        Stmt::AssignArray { target, value } => {
-            for ix in &target.indices {
-                ix.variables(out);
-            }
-            value.variables(out);
-        }
-        Stmt::Loop(l) => {
-            l.lower.variables(out);
-            l.upper.variables(out);
-            l.step.variables(out);
-            for inner in &l.body {
-                collect_stmt_vars(inner, out);
-            }
-        }
-        Stmt::If {
-            cond,
-            then_body,
-            else_body,
-        } => {
-            cond.variables(out);
-            for inner in then_body.iter().chain(else_body) {
-                collect_stmt_vars(inner, out);
-            }
-        }
-    }
 }
 
 #[cfg(test)]

@@ -86,6 +86,33 @@ doall i = 10..1 step -1 {
     assert!(divergence.is_none(), "{divergence:?}");
 }
 
+/// The upper bound of `for j` is evaluated inside every iteration of
+/// `doall i`, so the `t = 5` of the first iteration to run changes the
+/// trip count of every later one. LC005 used to scan only the nest body,
+/// so `certifies_order_independent` signed this program off and the
+/// oracle's reverse run contradicted it (`lint-unsound`).
+#[test]
+fn fuzz_oracle_audits_a_scalar_read_in_an_inner_bound() {
+    let src = r#"
+array A[4][5];
+t = 2;
+doall i = 1..4 {
+    for j = 1..t {
+        A[i][j] = i + j;
+        t = 5;
+    }
+}
+"#;
+    let divergence = lc_fuzz::oracle::check_source(
+        src,
+        &lc_driver::DEFAULT_PASS_ORDER,
+        &lc_driver::DriverOptions::default(),
+        0xC0A1E5CE,
+        true,
+    );
+    assert!(divergence.is_none(), "{divergence:?}");
+}
+
 /// The CI seed must stay clean: the exact configuration the push-gate
 /// fuzz job runs, compressed to a smoke-sized prefix.
 #[test]

@@ -42,32 +42,48 @@ fn corpus_findings_match_the_committed_baseline() {
     );
 }
 
-/// The seeded racy-DOALL fixtures CI feeds to the `lc-lint` CLI under
-/// `--deny doall-race`: each must trip LC001 with a direction vector, and
-/// the certificate the fuzzer trusts must refuse it. The reverse fixture
-/// runs its race downward by a negative step; in iteration order the
-/// dependence is still carried forward.
+/// The seeded racy fixtures CI feeds to the `lc-lint` CLI under
+/// `--deny <slug>`: each must trip its lint, and the certificate the
+/// fuzzer trusts must refuse it. The reverse fixture runs its race
+/// downward by a negative step; in iteration order the dependence is
+/// still carried forward. In the scalar fixture the bound of `for j` is
+/// read inside every iteration of `doall i`, after an earlier iteration
+/// may have run `t = 5`.
 #[test]
 fn racy_doall_fixture_trips_lc001() {
-    for name in ["racy_doall.lc", "racy_doall_reverse.lc"] {
+    for (name, code, key, value) in [
+        ("racy_doall.lc", LintCode::DoallRace, "direction", "(<)"),
+        (
+            "racy_doall_reverse.lc",
+            LintCode::DoallRace,
+            "direction",
+            "(<)",
+        ),
+        (
+            "racy_scalar_bound.lc",
+            LintCode::ReductionInDoall,
+            "var",
+            "t",
+        ),
+    ] {
         let path = format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
         let src = std::fs::read_to_string(path).expect("fixture present");
 
         let findings = lint_source(&src, &LintSet::default()).unwrap();
         let race = findings
             .iter()
-            .find(|f| f.code == LintCode::DoallRace)
-            .expect("racy doall must trip LC001");
+            .find(|f| f.code == code)
+            .unwrap_or_else(|| panic!("{name} must trip {code}"));
         assert_eq!(race.severity, Severity::Warn);
-        assert_eq!(race.detail("direction"), Some("(<)"));
+        assert_eq!(race.detail(key), Some(value));
 
-        // Under --deny doall-race the same finding escalates.
+        // Under --deny <slug> the same finding escalates.
         let mut deny = LintSet::default();
-        deny.set_by_name("doall-race", Severity::Deny).unwrap();
+        deny.set_by_name(code.slug(), Severity::Deny).unwrap();
         let findings = lint_source(&src, &deny).unwrap();
         assert!(findings
             .iter()
-            .any(|f| f.code == LintCode::DoallRace && f.severity == Severity::Deny));
+            .any(|f| f.code == code && f.severity == Severity::Deny));
 
         let program = lc_ir::parser::parse_program(&src).unwrap();
         assert!(
