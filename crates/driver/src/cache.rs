@@ -6,12 +6,12 @@
 //! written, and again after each structural rewrite (perfection,
 //! interchange) replaces it. Every consumer reads that one answer: the
 //! `analyze` stage's lints, interchange legality, the band advisor, and
-//! both coalescing paths ([`lc_xform::coalesce::coalesce_band`]).
+//! the coalescer ([`lc_xform::coalesce::coalesce_band`]).
 //!
 //! Dependence analysis runs on the extracted nest, not its
 //! normalization: [`analyze_nest`] answers in iteration order, so the
-//! two agree (see `lc_ir::analysis::depend`), and symbolic nests, which
-//! cannot be normalized, get an analysis too.
+//! two agree (see `lc_ir::analysis::depend`), and nests that cannot be
+//! normalized get an analysis too.
 //!
 //! Every accessor counts a *computed* or a *hit* in [`CacheStats`], so
 //! tests (and the trace report) can assert that dependence analysis ran
@@ -71,8 +71,8 @@ impl CacheStats {
 /// Holds the *current* form of the loop (structural passes like
 /// perfection or interchange replace it via [`NestAnalyses::rewrite`],
 /// which drops the memos — analyses describe one specific loop). Failed
-/// analyses are memoized too: a nest with symbolic bounds reports the
-/// same normalization error on every request without re-running it.
+/// analyses are memoized too: a nest that cannot be normalized reports
+/// the same error on every request without re-running it.
 #[derive(Debug)]
 pub struct NestAnalyses {
     current: Loop,
@@ -121,7 +121,7 @@ impl NestAnalyses {
         self.nest.as_ref().unwrap()
     }
 
-    /// The normalized nest (`1..=N step 1` headers), or the
+    /// The normalized nest (`1..=U step 1` headers), or the
     /// normalization error (memoized either way).
     pub fn normalized(&mut self) -> Result<&Nest> {
         if self.normalized.is_none() {

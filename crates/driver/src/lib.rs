@@ -78,33 +78,23 @@ pub use trace::{PipelineTrace, TraceEvent, TraceOutcome};
 pub struct Skip {
     /// Index of the nest's statement in the program body.
     pub nest: usize,
-    /// Why the constant-path coalescing declined.
+    /// Why coalescing declined.
     pub reason: SkipReason,
-    /// When the symbolic fallback was tried and also declined, its
-    /// reason.
-    pub fallback: Option<SkipReason>,
 }
 
 impl fmt::Display for Skip {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &self.fallback {
-            Some(fb) => write!(f, "{}; symbolic fallback: {}", self.reason, fb),
-            None => write!(f, "{}", self.reason),
-        }
+        write!(f, "{}", self.reason)
     }
 }
 
 impl Skip {
     /// Serialize as a tagged JSON object.
     pub fn to_json(&self) -> json::Json {
-        let mut pairs = vec![
+        json::Json::obj(vec![
             ("nest", json::Json::Int(self.nest as i64)),
             ("reason", trace::skip_reason_to_json(&self.reason)),
-        ];
-        if let Some(fb) = &self.fallback {
-            pairs.push(("fallback", trace::skip_reason_to_json(fb)));
-        }
-        json::Json::obj(pairs)
+        ])
     }
 
     /// Deserialize from [`Skip::to_json`] output.
@@ -112,10 +102,6 @@ impl Skip {
         Ok(Skip {
             nest: v.int_field("nest")? as usize,
             reason: trace::skip_reason_from_json(v.field("reason")?)?,
-            fallback: match v.get("fallback") {
-                Some(fb) => Some(trace::skip_reason_from_json(fb)?),
-                None => None,
-            },
         })
     }
 }
@@ -125,7 +111,7 @@ impl Skip {
 #[derive(Debug, Clone)]
 pub struct DriverOptions {
     /// Options forwarded to the coalescing transformation (band, scheme,
-    /// legality checking, strength reduction, …).
+    /// normalization, strength reduction, …).
     pub coalesce: CoalesceOptions,
     /// Run the nest-perfection pass (sink imperfect statements under
     /// first/last-iteration guards).
@@ -214,8 +200,8 @@ pub struct DriverOutput {
     /// The transformed program pretty-printed as DSL source.
     pub transformed_source: String,
     /// Metadata for every nest that was coalesced, in body order. A nest
-    /// coalesced through the *symbolic* fallback reports empty `dims`
-    /// and zero `total_iterations`.
+    /// whose band has a symbolic trip count reports empty `dims` and
+    /// zero `total_iterations`.
     pub coalesced: Vec<CoalesceInfo>,
     /// Nests left untouched, with typed diagnostics.
     pub skipped: Vec<Skip>,

@@ -18,8 +18,8 @@
 //! 4. [`InterchangePass`] — move a serial outermost level inward when
 //!    the level below it is parallel, so DOALL levels sit outermost;
 //! 5. [`AdvisePass`] — pick the best legal collapse band analytically;
-//! 6. [`CoalescePass`] — the transformation itself, with the symbolic
-//!    fallback for runtime trip counts;
+//! 6. [`CoalescePass`] — the transformation itself: the (normalized)
+//!    nest goes to `coalesce_band` once, whatever its trip counts;
 //! 7. [`StrengthReducePass`] — report the recovery-CSE savings.
 //!
 //! Passes 3–5 are *enabling* passes: their failures are recorded as
@@ -28,13 +28,11 @@
 
 use std::time::Instant;
 
-use lc_ir::analysis::nest::Nest;
 use lc_ir::stmt::Stmt;
 use lc_ir::{Error, Result, SkipReason};
 use lc_lint::{ConstEnv, Finding, LintCode, NestLinter, Severity};
-use lc_xform::coalesce::{coalesce_band, CoalesceInfo, CoalesceResult};
+use lc_xform::coalesce::{coalesce_band, CoalesceInfo, CoalesceOptions, CoalesceResult};
 use lc_xform::interchange::interchange;
-use lc_xform::normalize::require_normalized;
 use lc_xform::perfect::perfect_recursively;
 use lc_xform::recovery::per_iteration_cost;
 
@@ -80,8 +78,8 @@ pub struct PassCx<'a> {
 pub enum Decision {
     /// The nest was rewritten into these statements.
     Coalesced {
-        /// Replacement statements (preamble + loop for the symbolic
-        /// path, a single loop otherwise).
+        /// Replacement statements: the stride preamble (empty unless a
+        /// banded trip count is symbolic), then the loop.
         stmts: Vec<Stmt>,
         /// What the coalescing did.
         info: CoalesceInfo,
@@ -193,7 +191,6 @@ impl Pass for AnalyzePass {
                     code: deny.code.code().to_string(),
                     message: deny.message.clone(),
                 },
-                fallback: None,
             }));
         }
         Ok(PassOutcome::Analyzed { findings, per_lint })
@@ -202,9 +199,10 @@ impl Pass for AnalyzePass {
 
 /// Pass 1: loop normalization (via the analysis cache).
 ///
-/// Reports how many headers needed rewriting; a symbolic-bound failure
-/// is recorded here but the final constant-vs-symbolic routing happens
-/// in [`CoalescePass`], exactly as in the facade pipeline.
+/// Reports how many headers needed rewriting; headers already in unit
+/// form `1..=U step 1` need none, whatever `U` is. A failure is recorded
+/// here and surfaces again as [`CoalescePass`]'s skip. A no-op without
+/// `auto_normalize`.
 pub struct NormalizePass;
 
 impl Pass for NormalizePass {
@@ -213,24 +211,13 @@ impl Pass for NormalizePass {
     }
 
     fn run(&self, state: &mut NestState, cx: &mut PassCx<'_>) -> Result<PassOutcome> {
-        if state.decision.is_some() {
+        if state.decision.is_some() || !cx.options.coalesce.auto_normalize {
+            // Without `auto_normalize` nothing is rewritten; the coalesce
+            // pass reports a level that is not in unit form.
             return Ok(PassOutcome::Noop);
         }
-        if !cx.options.coalesce.auto_normalize {
-            // The caller promised normalized input; just check.
-            return match require_normalized(&cx.cache.nest().loops) {
-                Ok(()) => Ok(PassOutcome::Noop),
-                Err(Error::Unsupported(r)) => Ok(PassOutcome::Skipped(r)),
-                Err(e) => Err(e),
-            };
-        }
-        let unnormalized = cx
-            .cache
-            .nest()
-            .loops
-            .iter()
-            .filter(|h| !h.is_normalized())
-            .count() as u64;
+        let loops = &cx.cache.nest().loops;
+        let unnormalized = loops.iter().filter(|h| !h.is_unit_form()).count() as u64;
         match cx.cache.normalized() {
             Ok(_) if unnormalized == 0 => Ok(PassOutcome::Noop),
             Ok(_) => Ok(PassOutcome::Applied {
@@ -294,8 +281,8 @@ impl Pass for InterchangePass {
             return Ok(PassOutcome::Noop);
         }
         let depth = cx.cache.nest().depth();
-        if depth < 2 || cx.cache.normalized().is_err() {
-            // Depth-1 or symbolic nests: nothing to interchange here.
+        // Depth-1 or symbolic nests: nothing to interchange here.
+        if depth < 2 || !cx.cache.normalized().is_ok_and(|n| n.is_normalized()) {
             return Ok(PassOutcome::Noop);
         }
         let Ok(deps) = cx.cache.deps() else {
@@ -359,26 +346,21 @@ impl Pass for AdvisePass {
     }
 }
 
-/// Pass 5: the coalescing transformation, constant path first with the
-/// symbolic fallback — byte-for-byte the facade pipeline's routing, but
-/// with every analysis drawn from the cache instead of recomputed.
+/// Pass 5: the coalescing transformation — normalize (cached), then
+/// `coalesce_band` once, with every analysis drawn from the cache
+/// instead of recomputed.
 pub struct CoalescePass;
 
 impl CoalescePass {
-    /// Run the constant-trip-count path with cached analyses. Replicates
-    /// `coalesce_loop` = normalize (cached) + `coalesce_band`, with the
-    /// cached dependence analysis of the nest as written.
-    fn constant_path(
-        cx: &mut PassCx<'_>,
-        opts: &lc_xform::coalesce::CoalesceOptions,
-    ) -> Result<CoalesceResult> {
+    /// `coalesce_loop` on cached analyses: the normalized nest (or the
+    /// nest as written, without `auto_normalize`) and the dependence
+    /// analysis of the nest as written.
+    fn coalesce(cx: &mut PassCx<'_>, opts: &CoalesceOptions) -> Result<CoalesceResult> {
         if opts.auto_normalize {
             cx.cache.normalized()?;
-        } else {
-            require_normalized(&cx.cache.nest().loops)?;
         }
         cx.cache.deps()?;
-        let nest: &Nest = if opts.auto_normalize {
+        let nest = if opts.auto_normalize {
             cx.cache.normalized_ref()
         } else {
             cx.cache.nest_ref()
@@ -408,7 +390,7 @@ impl Pass for CoalescePass {
         let band = opts.levels.unwrap_or((0, depth));
         let width = band.1.saturating_sub(band.0) as u64;
 
-        match Self::constant_path(cx, &opts) {
+        match Self::coalesce(cx, &opts) {
             Ok(result) => {
                 state.decision = Some(Decision::Coalesced {
                     stmts: result.stmts(),
@@ -416,35 +398,10 @@ impl Pass for CoalescePass {
                 });
                 Ok(PassOutcome::Applied { rewrites: width })
             }
-            Err(Error::Unsupported(reason)) if reason.is_symbolic() => {
-                // Normalization needs constant trip counts; retry on the
-                // raw nest, where the per-level emitter computes symbolic
-                // strides at run time.
-                cx.cache.deps()?;
-                match coalesce_band(cx.cache.nest_ref(), cx.cache.deps_ref(), &opts) {
-                    Ok(result) => {
-                        state.decision = Some(Decision::Coalesced {
-                            stmts: result.stmts(),
-                            info: result.info,
-                        });
-                        Ok(PassOutcome::Applied { rewrites: width })
-                    }
-                    Err(Error::Unsupported(fallback)) => {
-                        state.decision = Some(Decision::Skipped(Skip {
-                            nest: state.index,
-                            reason: reason.clone(),
-                            fallback: Some(fallback),
-                        }));
-                        Ok(PassOutcome::Skipped(reason))
-                    }
-                    Err(other) => Err(other),
-                }
-            }
             Err(Error::Unsupported(reason)) => {
                 state.decision = Some(Decision::Skipped(Skip {
                     nest: state.index,
                     reason: reason.clone(),
-                    fallback: None,
                 }));
                 Ok(PassOutcome::Skipped(reason))
             }

@@ -321,8 +321,6 @@ pub fn skip_reason_to_json(r: &SkipReason) -> Json {
             ("level", Json::Int(*level as i64)),
             sym("var", var),
         ]),
-        SkipReason::NotDoall { var } => Json::obj(vec![kind("not-doall"), sym("var", var)]),
-        SkipReason::NotDoallUnchecked => Json::obj(vec![kind("not-doall-unchecked")]),
         SkipReason::ScalarReduction { var } => {
             Json::obj(vec![kind("scalar-reduction"), sym("var", var)])
         }
@@ -334,9 +332,6 @@ pub fn skip_reason_to_json(r: &SkipReason) -> Json {
         SkipReason::SymbolicBounds => Json::obj(vec![kind("symbolic-bounds")]),
         SkipReason::NotNormalized { var } => {
             Json::obj(vec![kind("not-normalized"), sym("var", var)])
-        }
-        SkipReason::NotUnitNormalized { var } => {
-            Json::obj(vec![kind("not-unit-normalized"), sym("var", var)])
         }
         SkipReason::VariantBound { var, dep } => Json::obj(vec![
             kind("variant-bound"),
@@ -391,8 +386,6 @@ pub fn skip_reason_from_json(v: &Json) -> Result<SkipReason, String> {
             level: v.int_field("level")? as usize,
             var: var("var")?,
         },
-        "not-doall" => SkipReason::NotDoall { var: var("var")? },
-        "not-doall-unchecked" => SkipReason::NotDoallUnchecked,
         "scalar-reduction" => SkipReason::ScalarReduction { var: var("var")? },
         "symbolic-bound" => SkipReason::SymbolicBound {
             var: var("var")?,
@@ -405,7 +398,6 @@ pub fn skip_reason_from_json(v: &Json) -> Result<SkipReason, String> {
         },
         "symbolic-bounds" => SkipReason::SymbolicBounds,
         "not-normalized" => SkipReason::NotNormalized { var: var("var")? },
-        "not-unit-normalized" => SkipReason::NotUnitNormalized { var: var("var")? },
         "variant-bound" => SkipReason::VariantBound {
             var: var("var")?,
             dep: var("dep")?,

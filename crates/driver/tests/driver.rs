@@ -126,9 +126,9 @@ fn symbolic_nests_never_reach_dependence_analysis_twice() {
         )
         .unwrap();
     assert_eq!(out.coalesced.len(), 1);
-    assert!(out.coalesced[0].dims.is_empty(), "took the symbolic path");
-    // The nest as written is analysed once, by the cache; the symbolic
-    // path reads that analysis instead of running its own.
+    assert!(out.coalesced[0].dims.is_empty(), "runtime trip counts");
+    // The nest as written is analysed once, by the cache; the coalescer
+    // reads that analysis instead of running its own.
     assert_eq!(out.trace.cache.deps_computed, 1);
     assert!(out.trace.cache.deps_hits >= 1);
 }
@@ -313,8 +313,6 @@ fn skip_reasons_round_trip_through_json() {
             level: 1,
             var: var.clone(),
         },
-        SkipReason::NotDoall { var: var.clone() },
-        SkipReason::NotDoallUnchecked,
         SkipReason::ScalarReduction { var: var.clone() },
         SkipReason::SymbolicBound {
             var: var.clone(),
@@ -322,7 +320,6 @@ fn skip_reasons_round_trip_through_json() {
         },
         SkipReason::SymbolicBounds,
         SkipReason::NotNormalized { var: var.clone() },
-        SkipReason::NotUnitNormalized { var: var.clone() },
         SkipReason::VariantBound {
             var: var.clone(),
             dep: Symbol::new("n"),
@@ -356,22 +353,16 @@ fn skips_round_trip_and_render_the_seed_messages() {
     let skip = Skip {
         nest: 3,
         reason: SkipReason::SymbolicBounds,
-        fallback: Some(SkipReason::NotDoallUnchecked),
     };
     let back = Skip::from_json(&Json::parse(&skip.to_json().to_string()).unwrap()).unwrap();
     assert_eq!(back, skip);
-    assert_eq!(
-        skip.to_string(),
-        "nest has symbolic bounds; symbolic fallback: \
-         legality checking disabled and some level is not a doall"
-    );
+    assert_eq!(skip.to_string(), "nest has symbolic bounds");
     let plain = Skip {
         nest: 0,
         reason: SkipReason::CarriedDependence {
             level: 0,
             var: Symbol::new("i"),
         },
-        fallback: None,
     };
     assert_eq!(
         plain.to_string(),
@@ -629,8 +620,8 @@ fn advise_pass_overrides_the_band() {
 
 #[test]
 fn mixed_nest_coalesces_with_constant_recovery_on_constant_levels() {
-    // Symbolic outer trip, constant inner trip: the per-level emitter
-    // keeps the inner stride a literal, so only the total trip count is
+    // Symbolic outer trip, constant inner trip: the stride chain keeps
+    // the inner stride a literal, so only the total trip count is
     // computed at run time.
     let out = Driver::default()
         .compile(
@@ -663,9 +654,40 @@ fn mixed_nest_coalesces_with_constant_recovery_on_constant_levels() {
 }
 
 #[test]
+fn shifted_or_strided_constant_levels_coalesce_next_to_symbolic_ones() {
+    // Normalization rewrites the constant level and leaves the unit-form
+    // `1..n` level alone, so neither nest is skipped.
+    for src in [
+        "
+        array A[5][9];
+        n = 9;
+        doall i = 0..4 {
+            doall j = 1..n {
+                A[i + 1][j] = i * 100 + j;
+            }
+        }
+        ",
+        "
+        array A[9][8];
+        n = 9;
+        doall i = 1..n {
+            doall j = 2..8 step 2 {
+                A[i][j] = i * 100 + j;
+            }
+        }
+        ",
+    ] {
+        let out = Driver::default().compile(src).unwrap();
+        assert_eq!(out.coalesced.len(), 1, "{src}");
+        assert!(out.skipped.is_empty(), "{:?}", out.skipped);
+        assert!(out.coalesced[0].dims.is_empty(), "runtime trip count");
+    }
+}
+
+#[test]
 fn mixed_partial_collapse_of_constant_band_under_symbolic_outer() {
     // The banded levels are constant even though the nest has a symbolic
-    // outer level; the band coalesces on the constant path with full
+    // outer level; the band coalesces with literal recovery and full
     // metadata.
     let out = Driver::new(DriverOptions {
         coalesce: CoalesceOptions::builder().levels(1, 3).build(),
@@ -694,9 +716,8 @@ fn mixed_partial_collapse_of_constant_band_under_symbolic_outer() {
 
 #[test]
 fn mixed_partial_collapse_of_symbolic_band_under_constant_outer() {
-    // Band (1, 3) where one banded trip is symbolic: the collapse
-    // happens per level, with a preamble ahead of the preserved outer
-    // loop's body... the preamble precedes the whole rewritten loop.
+    // Band (0, 2) where one banded trip is symbolic: the stride
+    // preamble precedes the whole rewritten loop.
     let out = Driver::new(DriverOptions {
         coalesce: CoalesceOptions::builder().levels(0, 2).build(),
         ..Default::default()

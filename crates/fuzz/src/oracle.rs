@@ -199,10 +199,9 @@ pub fn random_pipeline(rng: &mut Rng) -> Vec<String> {
     names
 }
 
-/// Random driver options. Legality checking stays on — the generator
-/// only guarantees race-freedom for nests the checker approves — and
-/// the driver's final validation stays off (the oracle does its own,
-/// with control over when interpretation is affordable).
+/// Random driver options. The driver's final validation stays off (the
+/// oracle does its own, with control over when interpretation is
+/// affordable).
 pub fn random_options(rng: &mut Rng) -> DriverOptions {
     let mut coalesce = CoalesceOptions::builder()
         .scheme(if rng.chance(1, 4) {
@@ -210,7 +209,6 @@ pub fn random_options(rng: &mut Rng) -> DriverOptions {
         } else {
             RecoveryScheme::Ceiling
         })
-        .check_legality(true)
         .auto_normalize(!rng.chance(1, 8))
         .strength_reduce(rng.chance(1, 4));
     if rng.chance(1, 4) {

@@ -214,7 +214,6 @@ fn fuzz_regression_{name}() {{
 {source}"#;
     let coalesce = lc_xform::coalesce::CoalesceOptions::builder()
         .scheme(lc_xform::recovery::RecoveryScheme::{scheme:?})
-        .check_legality({check_legality})
         .levels_opt({levels:?})
         .auto_normalize({auto_normalize})
         .strength_reduce({strength_reduce})
@@ -240,7 +239,6 @@ fn fuzz_regression_{name}() {{
 }}
 "##,
         scheme = c.scheme,
-        check_legality = c.check_legality,
         levels = c.levels,
         auto_normalize = c.auto_normalize,
         strength_reduce = c.strength_reduce,

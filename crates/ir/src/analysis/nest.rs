@@ -44,9 +44,13 @@ impl LoopHeader {
 
     /// True when bounds are `1..=N` with unit step, `N` constant.
     pub fn is_normalized(&self) -> bool {
-        self.lower.as_const() == Some(1)
-            && self.step.as_const() == Some(1)
-            && self.upper.as_const().is_some()
+        self.is_unit_form() && self.upper.as_const().is_some()
+    }
+
+    /// True when the header reads `1..=U step 1`, `U` any expression (see
+    /// [`Loop::is_unit_form`]).
+    pub fn is_unit_form(&self) -> bool {
+        crate::stmt::is_unit_form(&self.lower, &self.step)
     }
 }
 

@@ -103,13 +103,6 @@ pub enum SkipReason {
         /// Loop variable of that level.
         var: Symbol,
     },
-    /// A banded level is not a `doall` and legality checking is off.
-    NotDoall {
-        /// Loop variable of the offending level.
-        var: Symbol,
-    },
-    /// Symbolic path: legality checking is off and some level is serial.
-    NotDoallUnchecked,
     /// A scalar may carry a value across iterations (e.g. a reduction),
     /// so it cannot be privatized.
     ScalarReduction {
@@ -125,14 +118,8 @@ pub enum SkipReason {
     },
     /// The nest as a whole has symbolic trip counts.
     SymbolicBounds,
-    /// A header is not in normalized `1..=N step 1` form.
+    /// A header is not in unit form `1..=U step 1`.
     NotNormalized {
-        /// Loop variable of the offending header.
-        var: Symbol,
-    },
-    /// Symbolic coalescing needs `1..=U step 1` headers and this one
-    /// is not.
-    NotUnitNormalized {
         /// Loop variable of the offending header.
         var: Symbol,
     },
@@ -184,19 +171,6 @@ pub enum SkipReason {
     Other(String),
 }
 
-impl SkipReason {
-    /// True when the reason is a symbolic-bound limitation, i.e. the
-    /// constant-trip-count pipeline cannot proceed but the symbolic
-    /// coalescer might. Replaces the old `message.contains("symbolic")`
-    /// dispatch in the facade.
-    pub fn is_symbolic(&self) -> bool {
-        matches!(
-            self,
-            SkipReason::SymbolicBound { .. } | SkipReason::SymbolicBounds
-        )
-    }
-}
-
 impl fmt::Display for SkipReason {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -207,14 +181,6 @@ impl fmt::Display for SkipReason {
             SkipReason::CarriedDependence { var, .. } => {
                 write!(f, "dependence carried at level `{var}` forbids coalescing")
             }
-            SkipReason::NotDoall { var } => write!(
-                f,
-                "level `{var}` is not a doall and legality checking is disabled"
-            ),
-            SkipReason::NotDoallUnchecked => write!(
-                f,
-                "legality checking disabled and some level is not a doall"
-            ),
             SkipReason::ScalarReduction { var } => write!(
                 f,
                 "scalar `{var}` may be read before it is written within an \
@@ -233,10 +199,6 @@ impl fmt::Display for SkipReason {
             SkipReason::NotNormalized { var } => write!(
                 f,
                 "loop `{var}` is not normalized (run normalize_nest first)"
-            ),
-            SkipReason::NotUnitNormalized { var } => write!(
-                f,
-                "symbolic coalescing requires `1..=U step 1` loops; `{var}` is not"
             ),
             SkipReason::VariantBound { var, dep } => write!(
                 f,

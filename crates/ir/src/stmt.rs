@@ -84,12 +84,16 @@ impl Loop {
         Loop::new(LoopKind::Serial, var, 1, n, body)
     }
 
-    /// True when bounds are the constants `1..=N` (some `N`) and step is 1 —
-    /// the *normalized* form the coalescing transformation requires.
+    /// True when bounds are the constants `1..=N` (some `N`) and step is 1.
     pub fn is_normalized(&self) -> bool {
-        self.lower.as_const() == Some(1)
-            && self.step.as_const() == Some(1)
-            && self.upper.as_const().is_some()
+        self.is_unit_form() && self.upper.as_const().is_some()
+    }
+
+    /// True when the loop reads `1..=U step 1` for any upper bound `U` —
+    /// the form index recovery needs, and the one normalization leaves
+    /// unchanged.
+    pub fn is_unit_form(&self) -> bool {
+        is_unit_form(&self.lower, &self.step)
     }
 
     /// Constant trip count if bounds and step are literals.
@@ -100,6 +104,11 @@ impl Loop {
     pub fn const_trip_count(&self) -> Option<u64> {
         const_trip_count(&self.lower, &self.upper, &self.step)
     }
+}
+
+/// [`Loop::is_unit_form`] on bare header parts.
+pub(crate) fn is_unit_form(lower: &Expr, step: &Expr) -> bool {
+    lower.as_const() == Some(1) && step.as_const() == Some(1)
 }
 
 /// [`Loop::const_trip_count`] on bare header parts.

@@ -24,32 +24,32 @@
 //!
 //! # Constant and symbolic trip counts
 //!
-//! [`coalesce_band`] is the single entry point for both compile-time and
-//! runtime trip counts, choosing the recovery form **per level**:
+//! Coalescing is one route: normalize, then [`coalesce_band`] once. The
+//! band's recovery code comes from one stride chain, built innermost
+//! first: the stride of level `k` is `P_{k+1} = Π_{l>k} N_l`, and
 //!
-//! * a level whose stride `P_k = Π_{l>k} N_l` folds to a constant gets a
-//!   literal stride in its recovery formula;
-//! * a level whose stride involves a runtime bound gets a scalar stride
-//!   (`lcs_k`) computed in a preamble ahead of the loop, as in the
-//!   paper's symbolic presentation.
+//! * a stride that folds to a constant stays a literal in the recovery
+//!   formula;
+//! * a stride that involves a runtime bound becomes a scalar (`lcs_k`)
+//!   computed in a preamble ahead of the loop, as in the paper's
+//!   symbolic presentation.
 //!
-//! A mixed nest like `doall i = 1..n { doall j = 1..64 { … } }` therefore
-//! coalesces with fully-constant recovery on the constant levels and only
-//! the total trip count (`lcs_total = 64 * n`) computed at run time. When
-//! every banded trip count is symbolic the emission degenerates to the
-//! classic all-scalar stride preamble.
+//! An all-constant band therefore gets literal strides, a checked
+//! literal trip count and no preamble. A mixed nest like
+//! `doall i = 1..n { doall j = 1..64 { … } }` keeps literal recovery on
+//! the constant levels and computes only the total trip count
+//! (`lcs_total = 64 * n`) at run time. When every banded trip count is
+//! symbolic the emission is the classic all-scalar stride preamble.
 //!
 //! # Legality
 //!
 //! A band of levels may be coalesced when
 //!
 //! 1. the loops form a perfect nest in unit form `1..=U step 1` (run
-//!    [`crate::normalize`] first for constant bounds; symbolic bounds
-//!    must additionally be loop-invariant),
-//! 2. no data dependence is *carried* at any coalesced level (each level is
-//!    DOALL-legal) — either the programmer marked every level `doall`, or
-//!    [`CoalesceOptions::check_legality`] lets the dependence tester prove
-//!    it, and
+//!    [`crate::normalize`] first; symbolic upper bounds must
+//!    additionally be loop-invariant),
+//! 2. no data dependence is *carried* at any coalesced level (each level
+//!    is DOALL-legal, as the dependence tester proves), and
 //! 3. no coalesced level carries a scalar: one iteration of the band's
 //!    outermost level never reads a scalar the body assigns before
 //!    assigning it, counting reads in the inner levels' bounds, which it
@@ -69,7 +69,7 @@ use lc_ir::symbol::Symbol;
 use lc_ir::{Error, Result, SkipReason};
 
 use crate::normalize::normalize_nest;
-use crate::recovery::{per_iteration_cost, recovery_stmts, total_iterations, RecoveryScheme};
+use crate::recovery::{recovery_from_strides, total_iterations, RecoveryScheme};
 
 /// Options controlling [`coalesce_loop`].
 ///
@@ -81,16 +81,14 @@ use crate::recovery::{per_iteration_cost, recovery_stmts, total_iterations, Reco
 pub struct CoalesceOptions {
     /// Index-recovery code to emit (default: the paper's ceiling formula).
     pub scheme: RecoveryScheme,
-    /// Verify DOALL legality with the dependence tester. When `false`,
-    /// every coalesced level must already be marked `doall`.
-    pub check_legality: bool,
     /// The contiguous band of 0-based levels to coalesce, `[start, end)`.
     /// `None` coalesces the whole nest.
     pub levels: Option<(usize, usize)>,
     /// Name for the coalesced index variable; a fresh name derived from
     /// `jc` is chosen when `None` or when the given name collides.
     pub coalesced_var: Option<Symbol>,
-    /// Automatically normalize non-unit-step / offset loops first.
+    /// Normalize shifted and strided loops first. Without it, every loop
+    /// must already be in unit form `1..=U step 1`.
     pub auto_normalize: bool,
     /// Run common-subexpression extraction over the emitted recovery
     /// statements (hoists the shared `⌈j/P⌉` terms — the paper's
@@ -102,7 +100,6 @@ impl Default for CoalesceOptions {
     fn default() -> Self {
         CoalesceOptions {
             scheme: RecoveryScheme::Ceiling,
-            check_legality: true,
             levels: None,
             coalesced_var: None,
             auto_normalize: true,
@@ -145,12 +142,6 @@ impl CoalesceOptionsBuilder {
     /// Index-recovery code to emit.
     pub fn scheme(mut self, scheme: RecoveryScheme) -> Self {
         self.opts.scheme = scheme;
-        self
-    }
-
-    /// Verify DOALL legality with the dependence tester.
-    pub fn check_legality(mut self, check: bool) -> Self {
-        self.opts.check_legality = check;
         self
     }
 
@@ -248,38 +239,28 @@ impl CoalesceResult {
 /// Coalesce (a band of levels of) the perfect nest rooted at `l`.
 ///
 /// Convenience wrapper over [`coalesce_band`]: extracts the nest,
-/// analyses its dependences once, and tries to normalize it (when
-/// `auto_normalize` is set). Nests that cannot be normalized because a
-/// bound is symbolic go to the per-level emitter as-is — such loops must
-/// already be in unit form `1..=U step 1`. Callers that already hold the
-/// nest and its dependence analysis — e.g. `lc-driver`'s cached pipeline
-/// — should call [`coalesce_band`] directly so nothing is recomputed.
+/// analyses its dependences once, and normalizes it (when
+/// `auto_normalize` is set). Callers that already hold the nest and its
+/// dependence analysis — e.g. `lc-driver`'s cached pipeline — should call
+/// [`coalesce_band`] directly so nothing is recomputed.
 pub fn coalesce_loop(l: &Loop, opts: &CoalesceOptions) -> Result<CoalesceResult> {
     let nest = extract_nest(l);
     let deps = analyze_nest(&nest)?;
     if opts.auto_normalize {
-        match normalize_nest(&nest) {
-            Ok(normalized) => coalesce_band(&normalized, &deps, opts),
-            // Symbolic bounds cannot be pre-normalized; the per-level
-            // emitter handles them directly.
-            Err(Error::Unsupported(r)) if r.is_symbolic() => coalesce_band(&nest, &deps, opts),
-            Err(e) => Err(e),
-        }
+        coalesce_band(&normalize_nest(&nest)?, &deps, opts)
     } else {
-        crate::normalize::require_normalized(&nest.loops)?;
         coalesce_band(&nest, &deps, opts)
     }
 }
 
-/// Coalesce a band of an already-extracted nest, selecting constant or
-/// symbolic index recovery **per level**.
+/// Coalesce a band of an already-extracted nest.
 ///
-/// Every loop must be in unit form `1..=U step 1` (normalize first for
-/// constant bounds). `deps` is the dependence analysis of this nest, or
-/// of the nest it was normalized from: `analyze_nest` answers in
-/// iteration order, so both describe the same levels. Taking it as an
-/// argument lets a driver share one analysis between the lints, the
-/// legality check, the collapse-band advisor, and the coalescer.
+/// Every loop must be in unit form `1..=U step 1` (normalize first).
+/// `deps` is the dependence analysis of this nest, or of the nest it was
+/// normalized from: `analyze_nest` answers in iteration order, so both
+/// describe the same levels. Taking it as an argument lets a driver share
+/// one analysis between the lints, the legality check, the collapse-band
+/// advisor, and the coalescer.
 pub fn coalesce_band(
     nest: &Nest,
     deps: &NestDeps,
@@ -300,17 +281,76 @@ pub fn coalesce_band(
             .unwrap_or("jc"),
     );
 
-    let const_trips: Option<Vec<u64>> = band.iter().map(LoopHeader::const_trip_count).collect();
-    let (mut body, preamble, upper, info) = match const_trips {
-        Some(dims) => emit_constant(nest, band, &used, &jvar, dims, (start, end), opts)?,
-        None => emit_per_level(band, &used, &jvar, (start, end), depth, opts),
+    // An all-constant band has a checked total, reported dims and cost;
+    // a runtime trip count anywhere leaves all three to the emitted code.
+    let dims: Option<Vec<u64>> = band.iter().map(LoopHeader::const_trip_count).collect();
+    let total = dims.as_deref().map(total_iterations).transpose()?;
+    let trips: Vec<Expr> = band
+        .iter()
+        .map(|h| match h.const_trip_count() {
+            Some(n) => Expr::lit(n as i64),
+            None => h.upper.clone(),
+        })
+        .collect();
+
+    // The stride chain, innermost first: a stride that folds stays a
+    // literal, one that does not becomes a preamble scalar. With every
+    // trip symbolic, every stride (including the constant innermost `1`)
+    // is materialized so the emission matches the paper's all-symbolic
+    // preamble shape. An all-constant band never gets a preamble: its
+    // strides fold unless a zero-trip level makes the loop empty anyway.
+    let all_symbolic = band.iter().all(|h| h.upper.as_const().is_none());
+    let mut preamble = ExprBuilder::new();
+    let mut strides = vec![Expr::lit(1); band.len()];
+    let mut running = Expr::lit(1);
+    for k in (0..band.len()).rev() {
+        if all_symbolic || (total.is_none() && running.as_const().is_none()) {
+            let name = fresh_from(&used, &format!("lcs_{k}"));
+            preamble.assign(name.clone(), running);
+            running = Expr::Var(name);
+        }
+        strides[k] = running.clone();
+        running = (running * trips[k].clone()).fold();
+    }
+    // Constant even with a symbolic bound when a zero-trip level
+    // annihilates the product.
+    let upper = if running.as_const().is_some() {
+        running
+    } else {
+        let name = fresh_from(&used, "lcs_total");
+        preamble.assign(name.clone(), running);
+        Expr::Var(name)
     };
+
+    let vars: Vec<Symbol> = band.iter().map(|h| h.var.clone()).collect();
+    let recovery = recovery_from_strides(opts.scheme, &jvar, &vars, &strides, &trips);
+    let mut recovery = ExprBuilder::from_stmts(recovery);
+    let mut recovery_cost = 0;
+    if total.is_some() {
+        if opts.strength_reduce {
+            // Temp names are `{prefix}{n}` for arbitrary n: pick a prefix
+            // no existing symbol starts with, so no temp can collide.
+            let prefix = (0u32..)
+                .map(|i| {
+                    if i == 0 {
+                        "rc_".to_string()
+                    } else {
+                        format!("rc{i}_")
+                    }
+                })
+                .find(|p| !used.iter().any(|u| u.starts_with(p.as_str())))
+                .expect("some prefix is always free");
+            recovery.intern_shared_divisions(&prefix);
+        }
+        recovery_cost = recovery.cost().units();
+    }
 
     // Inner uncoalesced levels wrap the nest body inside the coalesced
     // loop; outer uncoalesced levels wrap the coalesced loop, unchanged.
+    let mut body = recovery.into_stmts();
     body.extend(wrap_levels(&nest.loops[end..], nest.body.clone()));
     let mut result = Loop {
-        var: jvar,
+        var: jvar.clone(),
         lower: Expr::lit(1),
         upper,
         step: Expr::lit(1),
@@ -323,141 +363,17 @@ pub fn coalesce_band(
 
     Ok(CoalesceResult {
         transformed: result,
-        preamble,
-        info,
+        preamble: preamble.into_stmts(),
+        info: CoalesceInfo {
+            dims: dims.unwrap_or_default(),
+            total_iterations: total.unwrap_or(0),
+            scheme: opts.scheme,
+            recovery_cost_per_iteration: recovery_cost,
+            levels: (start, end),
+            original_depth: depth,
+            coalesced_var: jvar,
+        },
     })
-}
-
-/// The all-constant emission: literal total trip count, recovery via
-/// [`recovery_stmts`], optional strength reduction, typed cost.
-fn emit_constant(
-    nest: &Nest,
-    band: &[LoopHeader],
-    used: &HashSet<String>,
-    jvar: &Symbol,
-    dims: Vec<u64>,
-    levels: (usize, usize),
-    opts: &CoalesceOptions,
-) -> Result<(Vec<Stmt>, Vec<Stmt>, Expr, CoalesceInfo)> {
-    let total = total_iterations(&dims)?;
-    let level_vars: Vec<Symbol> = band.iter().map(|h| h.var.clone()).collect();
-
-    let mut recovery = recovery_stmts(opts.scheme, jvar, &level_vars, &dims);
-    let mut recovery_cost = per_iteration_cost(opts.scheme, &dims).units();
-    if opts.strength_reduce {
-        // Temp names are `{prefix}{n}` for arbitrary n: pick a prefix no
-        // existing symbol starts with, so no temp can collide.
-        let prefix = (0u32..)
-            .map(|i| {
-                if i == 0 {
-                    "rc_".to_string()
-                } else {
-                    format!("rc{i}_")
-                }
-            })
-            .find(|p| !used.iter().any(|u| u.starts_with(p.as_str())))
-            .expect("some prefix is always free");
-        let mut builder = ExprBuilder::from_stmts(recovery);
-        builder.intern_shared_divisions(&prefix);
-        recovery_cost = builder.cost().units();
-        recovery = builder.into_stmts();
-    }
-
-    let info = CoalesceInfo {
-        recovery_cost_per_iteration: recovery_cost,
-        dims,
-        total_iterations: total,
-        scheme: opts.scheme,
-        levels,
-        original_depth: nest.depth(),
-        coalesced_var: jvar.clone(),
-    };
-    Ok((recovery, Vec::new(), Expr::lit(total as i64), info))
-}
-
-/// The per-level emission for bands with at least one symbolic trip
-/// count. Strides that fold to constants stay literals in the recovery
-/// formulas; symbolic strides become `lcs_k` scalars in the preamble.
-/// When *every* banded trip is symbolic this degenerates to the classic
-/// all-scalar stride chain.
-fn emit_per_level(
-    band: &[LoopHeader],
-    used: &HashSet<String>,
-    jvar: &Symbol,
-    levels: (usize, usize),
-    depth: usize,
-    opts: &CoalesceOptions,
-) -> (Vec<Stmt>, Vec<Stmt>, Expr, CoalesceInfo) {
-    let m = band.len();
-    // With every trip symbolic, materialize every stride (including the
-    // constant innermost `1`) so the emission matches the paper's
-    // all-symbolic preamble shape exactly.
-    let force_scalar = band.iter().all(|h| h.upper.as_const().is_none());
-
-    let mut preamble = ExprBuilder::new();
-    let mut strides: Vec<Expr> = vec![Expr::lit(1); m];
-    let mut running = Expr::lit(1);
-    for k in (0..m).rev() {
-        let stride = if force_scalar || running.as_const().is_none() {
-            let name = fresh_from(used, &format!("lcs_{k}"));
-            preamble.assign(name.clone(), running.clone());
-            Expr::Var(name)
-        } else {
-            running.clone()
-        };
-        running = (stride.clone() * band[k].upper.clone()).fold();
-        strides[k] = stride;
-    }
-    let upper = if running.as_const().is_some() {
-        // Possible despite a symbolic bound: a constant zero-trip level
-        // annihilates the product.
-        running
-    } else {
-        let total_name = fresh_from(used, "lcs_total");
-        preamble.assign(total_name.clone(), running);
-        Expr::Var(total_name)
-    };
-
-    // Recovery per level, on whatever form each stride took.
-    let j = Expr::Var(jvar.clone());
-    let mut recovery = ExprBuilder::new();
-    for (k, h) in band.iter().enumerate() {
-        let stride = strides[k].clone();
-        let expr = match opts.scheme {
-            RecoveryScheme::Ceiling => {
-                let first = j.clone().ceil_div(stride.clone());
-                if k == 0 {
-                    first
-                } else {
-                    let outer = (stride * h.upper.clone()).fold();
-                    first - h.upper.clone() * (j.clone().ceil_div(outer) - Expr::lit(1))
-                }
-            }
-            RecoveryScheme::DivMod => {
-                let q = j.clone() - Expr::lit(1);
-                let shifted = q.floor_div(stride);
-                if k == 0 {
-                    shifted + Expr::lit(1)
-                } else {
-                    shifted.floor_mod(h.upper.clone()) + Expr::lit(1)
-                }
-            }
-        };
-        recovery.assign(h.var.clone(), expr);
-    }
-
-    // Dims are runtime values: the scheduling layer sees the symbolic
-    // marker (empty dims, zero totals).
-    let info = CoalesceInfo {
-        dims: Vec::new(),
-        total_iterations: 0,
-        scheme: opts.scheme,
-        recovery_cost_per_iteration: 0,
-        levels,
-        original_depth: depth,
-        coalesced_var: jvar.clone(),
-    };
-    (recovery.into_stmts(), preamble.into_stmts(), upper, info)
 }
 
 /// Check — without rewriting anything — that the band requested by
@@ -465,8 +381,7 @@ fn emit_per_level(
 ///
 /// This is the complete legality precheck [`coalesce_band`] runs before
 /// emitting code: band range, unit form, bound invariance, and DOALL
-/// legality (`deps` + scalar privatization when
-/// [`CoalesceOptions::check_legality`] is set). `Ok(())` guarantees the
+/// legality (`deps` + scalar privatization). `Ok(())` guarantees the
 /// subsequent [`coalesce_band`] call cannot fail except on arithmetic
 /// overflow of a constant trip-count product.
 pub fn precheck_band(nest: &Nest, deps: &NestDeps, opts: &CoalesceOptions) -> Result<()> {
@@ -480,21 +395,12 @@ pub fn precheck_band(nest: &Nest, deps: &NestDeps, opts: &CoalesceOptions) -> Re
         }));
     }
 
-    // Every level must read `1..=U step 1`. Constant-bound loops that
-    // are not in this form are merely un-normalized (normalization can
-    // fix them); loops with a symbolic bound part are out of scope.
-    for h in &nest.loops {
-        if h.lower.as_const() != Some(1) || h.step.as_const() != Some(1) {
-            let all_parts_const = h.lower.as_const().is_some()
-                && h.step.as_const().is_some()
-                && h.upper.as_const().is_some();
-            let reason = if all_parts_const {
-                SkipReason::NotNormalized { var: h.var.clone() }
-            } else {
-                SkipReason::NotUnitNormalized { var: h.var.clone() }
-            };
-            return Err(Error::Unsupported(reason));
-        }
+    // Every level must read `1..=U step 1`; normalization rewrites the
+    // others when their bounds are literals.
+    if let Some(h) = nest.loops.iter().find(|h| !h.is_unit_form()) {
+        return Err(Error::Unsupported(SkipReason::NotNormalized {
+            var: h.var.clone(),
+        }));
     }
 
     let band = &nest.loops[start..end];
@@ -521,32 +427,6 @@ pub fn precheck_band(nest: &Nest, deps: &NestDeps, opts: &CoalesceOptions) -> Re
         }
     }
 
-    check_band_legality(nest, deps, start, end, opts)
-}
-
-fn check_band_legality(
-    nest: &Nest,
-    deps: &NestDeps,
-    start: usize,
-    end: usize,
-    opts: &CoalesceOptions,
-) -> Result<()> {
-    let band = &nest.loops[start..end];
-    if !opts.check_legality {
-        if let Some(bad) = band.iter().find(|h| !h.kind.is_doall()) {
-            // Keep the historical diagnostics of the two paths: named for
-            // constant bands, anonymous for symbolic ones.
-            let reason = if band.iter().all(|h| h.upper.as_const().is_some()) {
-                SkipReason::NotDoall {
-                    var: bad.var.clone(),
-                }
-            } else {
-                SkipReason::NotDoallUnchecked
-            };
-            return Err(Error::Unsupported(reason));
-        }
-        return Ok(());
-    }
     for level in start..end {
         if deps.carried_at(level) {
             return Err(Error::Unsupported(SkipReason::CarriedDependence {
@@ -789,7 +669,32 @@ mod tests {
             },
         )
         .unwrap_err();
-        assert!(matches!(err, Error::Unsupported(_)));
+        assert_eq!(
+            err,
+            Error::Unsupported(SkipReason::NotNormalized {
+                var: Symbol::new("i")
+            })
+        );
+    }
+
+    #[test]
+    fn unit_form_symbolic_nest_needs_no_normalization() {
+        let out = check_coalesce(
+            "
+            array A[5][64];
+            n = 5;
+            doall i = 1..n {
+                doall j = 1..64 {
+                    A[i][j] = i * 1000 + j;
+                }
+            }
+            ",
+            &CoalesceOptions {
+                auto_normalize: false,
+                ..Default::default()
+            },
+        );
+        assert_eq!(out.preamble.len(), 1, "only lcs_total is computed");
     }
 
     #[test]
@@ -851,34 +756,6 @@ mod tests {
             ",
             &CoalesceOptions::default(),
         );
-    }
-
-    #[test]
-    fn serial_loops_rejected_without_checking() {
-        let p = parse_program(
-            "
-            array A[4][4];
-            for i = 1..4 {
-                for j = 1..4 {
-                    A[i][j] = 1;
-                }
-            }
-            ",
-        )
-        .unwrap();
-        let (_, l) = loop_of(&p);
-        let err = coalesce_loop(
-            &l,
-            &CoalesceOptions {
-                check_legality: false,
-                ..Default::default()
-            },
-        )
-        .unwrap_err();
-        assert!(matches!(
-            err,
-            Error::Unsupported(SkipReason::NotDoall { .. })
-        ));
     }
 
     #[test]
@@ -1231,7 +1108,8 @@ mod tests {
     fn mixed_constant_and_symbolic() {
         // Outer trip constant, inner symbolic: the inner stride is the
         // literal 1 but the outer stride (= the inner trip) is runtime.
-        let out = check_coalesce(
+        // A shifted constant level is normalized first.
+        for src in [
             "
             array A[7][11];
             m = 11;
@@ -1241,9 +1119,19 @@ mod tests {
                 }
             }
             ",
-            &CoalesceOptions::default(),
-        );
-        assert_eq!(out.preamble.len(), 2, "lcs_0 = m; lcs_total = lcs_0 * 7");
+            "
+            array A[7][11];
+            n = 11;
+            doall i = 0..4 {
+                doall j = 1..n {
+                    A[i + 1][j] = i * j;
+                }
+            }
+            ",
+        ] {
+            let out = check_coalesce(src, &CoalesceOptions::default());
+            assert_eq!(out.preamble.len(), 2, "lcs_0 = m; lcs_total = lcs_0 * 7");
+        }
     }
 
     #[test]
@@ -1251,8 +1139,9 @@ mod tests {
         // The acceptance-shaped nest: symbolic outer, constant inner.
         // The inner stride (64) folds to a literal, so the only runtime
         // computation is the total trip count — recovery itself mentions
-        // no stride scalar at all.
-        let out = check_coalesce(
+        // no stride scalar at all. A strided constant level is
+        // normalized first.
+        for src in [
             "
             array A[5][64];
             n = 5;
@@ -1262,25 +1151,35 @@ mod tests {
                 }
             }
             ",
-            &CoalesceOptions::default(),
-        );
-        assert_eq!(out.preamble.len(), 1, "only lcs_total is computed");
-        match &out.preamble[0] {
-            Stmt::AssignScalar { var, .. } => assert_eq!(var.as_str(), "lcs_total"),
-            other => panic!("unexpected preamble stmt {other:?}"),
+            "
+            array A[5][8];
+            n = 5;
+            doall i = 1..n {
+                doall j = 2..8 step 2 {
+                    A[i][j] = i * 1000 + j;
+                }
+            }
+            ",
+        ] {
+            let out = check_coalesce(src, &CoalesceOptions::default());
+            assert_eq!(out.preamble.len(), 1, "only lcs_total is computed");
+            match &out.preamble[0] {
+                Stmt::AssignScalar { var, .. } => assert_eq!(var.as_str(), "lcs_total"),
+                other => panic!("unexpected preamble stmt {other:?}"),
+            }
+            let vars = mentioned(&out.transformed.body);
+            assert!(
+                !vars.iter().any(|v| v.as_str().starts_with("lcs")),
+                "recovery must use literal strides, got {vars:?}"
+            );
         }
-        let vars = mentioned(&out.transformed.body);
-        assert!(
-            !vars.iter().any(|v| v.as_str().starts_with("lcs")),
-            "recovery must use literal strides, got {vars:?}"
-        );
     }
 
     #[test]
     fn mixed_partial_band_with_symbolic_outer_level_kept() {
         // Band (1, 3) of a 3-deep nest with a symbolic outermost level:
-        // the coalesced band is fully constant, so this takes the
-        // constant emission even though the nest as a whole is symbolic.
+        // the coalesced band is fully constant, so its strides, total,
+        // dims and cost are literal even though the nest is symbolic.
         let out = check_coalesce(
             "
             array A[4][5][6];
@@ -1340,7 +1239,13 @@ mod tests {
         .unwrap();
         let (_, l) = loop_of(&p);
         let err = coalesce_loop(&l, &CoalesceOptions::default()).unwrap_err();
-        assert!(matches!(err, Error::Unsupported(_)));
+        assert_eq!(
+            err,
+            Error::Unsupported(SkipReason::SymbolicBound {
+                var: Symbol::new("i"),
+                part: lc_ir::BoundPart::Upper,
+            })
+        );
     }
 
     #[test]

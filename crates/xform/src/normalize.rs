@@ -2,20 +2,22 @@
 //!
 //! The recovery formulas assume every coalesced level runs `1 ..= N_k`
 //! with step 1; this pass establishes that form, substituting
-//! `i := lo + (i' − 1)·s` into the body. Bounds must be compile-time
-//! constants (the paper's nests are rectangular with known bounds; symbolic
-//! bounds would need runtime trip-count computation, which the simulator
-//! models but the IR transformation does not emit).
+//! `i := lo + (i' − 1)·s` into the body. A level already in unit form
+//! `1..=U step 1` passes through unchanged, whatever `U` is, so a runtime
+//! upper bound is no obstacle. Rewriting any other level needs literal
+//! bounds and step: a symbolic lower bound or step, or a symbolic upper
+//! bound on a shifted or strided level, is a
+//! [`SkipReason::SymbolicBound`].
 
-use lc_ir::analysis::nest::{LoopHeader, Nest};
+use lc_ir::analysis::nest::Nest;
 use lc_ir::expr::Expr;
 use lc_ir::stmt::{Loop, Stmt};
 use lc_ir::{BoundPart, Error, Result, SkipReason};
 
-/// Normalize a single loop. Returns the rewritten loop; already-normalized
-/// loops are returned unchanged (cheaply, but not by reference).
+/// Normalize a single loop. Returns the rewritten loop; loops already in
+/// unit form are returned unchanged (cheaply, but not by reference).
 pub fn normalize_loop(l: &Loop) -> Result<Loop> {
-    if l.is_normalized() {
+    if l.is_unit_form() {
         return Ok(l.clone());
     }
     let lo = l.lower.as_const().ok_or_else(|| {
@@ -83,18 +85,6 @@ fn normalize_levels(l: &Loop, remaining: usize) -> Result<Loop> {
     Ok(out)
 }
 
-/// Check that every header of a nest is normalized; error otherwise.
-pub fn require_normalized(headers: &[LoopHeader]) -> Result<()> {
-    for h in headers {
-        if !h.is_normalized() {
-            return Err(Error::Unsupported(SkipReason::NotNormalized {
-                var: h.var.clone(),
-            }));
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -102,6 +92,7 @@ mod tests {
     use lc_ir::interp::Interp;
     use lc_ir::parser::parse_program;
     use lc_ir::program::Program;
+    use lc_ir::symbol::Symbol;
 
     fn loop_of(p: &Program) -> Loop {
         p.body
@@ -244,36 +235,38 @@ mod tests {
             "
             array A[10];
             n = 10;
-            for i = 1..n {
+            for i = 2..n {
                 A[i] = i;
             }
             ",
         )
         .unwrap();
-        let err = normalize_loop(&loop_of(&p)).unwrap_err();
-        assert!(matches!(err, Error::Unsupported(_)));
+        assert_eq!(
+            normalize_loop(&loop_of(&p)),
+            Err(Error::Unsupported(SkipReason::SymbolicBound {
+                var: Symbol::new("i"),
+                part: BoundPart::Upper,
+            }))
+        );
     }
 
     #[test]
-    fn require_normalized_reports_offender() {
+    fn unit_form_with_symbolic_upper_is_unchanged() {
         let p = parse_program(
             "
             array A[10][10];
-            doall i = 1..10 {
-                doall j = 2..10 {
-                    A[i][j] = 1;
+            n = 10;
+            doall i = 0..4 {
+                doall j = 1..n {
+                    A[i + 1][j] = 1;
                 }
             }
             ",
         )
         .unwrap();
-        let nest = extract_nest(&loop_of(&p));
-        let err = require_normalized(&nest.loops).unwrap_err();
-        match err {
-            Error::Unsupported(m) => {
-                assert!(m.to_string().contains('j'), "{m}")
-            }
-            other => panic!("{other:?}"),
-        }
+        let norm = normalize_nest(&extract_nest(&loop_of(&p))).unwrap();
+        assert_eq!(norm.loops[0].upper, Expr::lit(5));
+        assert_eq!(norm.loops[1].upper, Expr::var("n"));
+        assert!(norm.loops.iter().all(|h| h.is_unit_form()));
     }
 }

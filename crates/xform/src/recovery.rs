@@ -69,44 +69,60 @@ impl RecoveryScheme {
 /// index variable of level `k`, and `dims[k]` its trip count. Expressions
 /// are constant-folded, which erases divisions by stride 1 and — for the
 /// outermost level, where `⌈j / P_1⌉` is identically 1 — the whole
-/// correction term.
+/// correction term. This is [`recovery_from_strides`] with literal
+/// strides and trips.
 pub fn recovery_stmts(
     scheme: RecoveryScheme,
     j_var: &Symbol,
     vars: &[Symbol],
     dims: &[u64],
 ) -> Vec<Stmt> {
-    let st = strides(dims);
+    let lit = |v: u64| Expr::lit(v as i64);
+    let st: Vec<Expr> = strides(dims).into_iter().map(lit).collect();
+    let trips: Vec<Expr> = dims.iter().map(|&d| lit(d)).collect();
+    recovery_from_strides(scheme, j_var, vars, &st, &trips)
+}
+
+/// The recovery assignments for levels whose trip counts `trips[k]` and
+/// strides `strides[k]` (`P_{k+1}`, the product of the inner trips) are
+/// expressions: literals, or scalars a preamble computes at run time.
+/// Each value is constant-folded. The one place the Ceiling and DivMod
+/// formulas are written.
+pub fn recovery_from_strides(
+    scheme: RecoveryScheme,
+    j_var: &Symbol,
+    vars: &[Symbol],
+    strides: &[Expr],
+    trips: &[Expr],
+) -> Vec<Stmt> {
     let j = Expr::Var(j_var.clone());
     let mut out = Vec::with_capacity(vars.len());
-    for k in 0..vars.len() {
+    for (k, ((var, stride), trip)) in vars.iter().zip(strides).zip(trips).enumerate() {
         let expr = match scheme {
             RecoveryScheme::Ceiling => {
-                let inner = Expr::lit(st[k] as i64);
-                let first_term = j.clone().ceil_div(inner);
+                let first_term = j.clone().ceil_div(stride.clone());
                 if k == 0 {
                     // ⌈j / P_1⌉ = 1 for every j in range: the correction
                     // term vanishes at the outermost level.
                     first_term
                 } else {
-                    let outer = Expr::lit((st[k] * dims[k]) as i64);
-                    first_term
-                        - Expr::lit(dims[k] as i64) * (j.clone().ceil_div(outer) - Expr::lit(1))
+                    let outer = (stride.clone() * trip.clone()).fold();
+                    first_term - trip.clone() * (j.clone().ceil_div(outer) - Expr::lit(1))
                 }
             }
             RecoveryScheme::DivMod => {
                 let q = j.clone() - Expr::lit(1);
-                let shifted = q.floor_div(Expr::lit(st[k] as i64));
+                let shifted = q.floor_div(stride.clone());
                 if k == 0 {
                     // q / stride_0 is already < N_0: no modulus needed.
                     shifted + Expr::lit(1)
                 } else {
-                    shifted.floor_mod(Expr::lit(dims[k] as i64)) + Expr::lit(1)
+                    shifted.floor_mod(trip.clone()) + Expr::lit(1)
                 }
             }
         };
         out.push(Stmt::AssignScalar {
-            var: vars[k].clone(),
+            var: var.clone(),
             value: expr.fold(),
         });
     }

@@ -33,15 +33,35 @@ pub fn seeded_store(prog: &Program, seed: u64) -> Store {
     store
 }
 
+/// Lower `prog`, then seed its store — unless its declared arrays hold
+/// more elements than the interpreter's step budget. Seeding costs one
+/// step per element, so such a program is declined with
+/// [`Error::StepBudgetExceeded`] before anything is allocated.
+fn lower_and_seed(prog: &Program, seed: u64) -> Result<(Lowered, Store)> {
+    let code = Lowered::new(prog)?;
+    let budget = Interp::new().step_budget;
+    let elements = prog.arrays.iter().try_fold(0u64, |sum, a| {
+        a.dims
+            .iter()
+            .try_fold(1u64, |n, &d| n.checked_mul(d as u64))?
+            .checked_add(sum)
+    });
+    if elements.is_none_or(|n| n > budget) {
+        return Err(Error::StepBudgetExceeded { budget });
+    }
+    Ok((code, seeded_store(prog, seed)))
+}
+
 /// Check that `original` and `transformed` compute the same final store
 /// from the same seeded input, and that `transformed` is insensitive to
 /// `doall` iteration order. Errors carry a description of the divergence.
 ///
 /// Each program is lowered once; the transformed one then runs under all
-/// three orders from its single [`Lowered`] handle.
+/// three orders from its single [`Lowered`] handle. A program declaring
+/// more array elements than the step budget is declined up front.
 pub fn check_equivalent(original: &Program, transformed: &Program, seed: u64) -> Result<()> {
-    let base = seeded_store(original, seed);
-    let (want, _) = Interp::new().run_lowered(&Lowered::new(original)?, base.clone())?;
+    let (code, base) = lower_and_seed(original, seed)?;
+    let (want, _) = Interp::new().run_lowered(&code, base.clone())?;
 
     let code = Lowered::new(transformed)?;
     for order in [
@@ -65,8 +85,7 @@ pub fn check_equivalent(original: &Program, transformed: &Program, seed: u64) ->
 /// order (necessary for it to be a semantically valid parallel program).
 /// The program is lowered once and run under every order.
 pub fn check_order_independent(prog: &Program, seed: u64) -> Result<()> {
-    let base = seeded_store(prog, seed);
-    let code = Lowered::new(prog)?;
+    let (code, base) = lower_and_seed(prog, seed)?;
     let (want, _) = Interp::new().run_lowered(&code, base.clone())?;
     for order in [DoallOrder::Reverse, DoallOrder::Shuffled(seed ^ 0x55AA)] {
         let (got, _) = Interp::new()

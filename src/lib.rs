@@ -68,14 +68,12 @@ pub struct PipelineResult {
     /// The transformed program pretty-printed as DSL source.
     pub transformed_source: String,
     /// Metadata for every nest that was coalesced, in body order. A nest
-    /// coalesced through the *symbolic* fallback (runtime trip counts)
-    /// reports empty `dims` and zero `total_iterations` — the counts are
-    /// computed by the emitted preamble, not known statically.
+    /// whose band has a runtime trip count reports empty `dims` and zero
+    /// `total_iterations` — the counts are computed by the emitted
+    /// preamble, not known statically.
     pub coalesced: Vec<CoalesceInfo>,
-    /// Top-level loops that were left alone, with typed diagnostics
-    /// ([`Skip::reason`] plus the symbolic fallback's reason when that
-    /// was tried too). `Display` renders the same messages the pipeline
-    /// has always reported.
+    /// Top-level loops that were left alone, each with its typed
+    /// diagnostic ([`Skip::reason`]).
     pub skipped: Vec<Skip>,
 }
 

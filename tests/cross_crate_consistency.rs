@@ -7,6 +7,8 @@
 //! * the real runtime's chunk sequence matches the dispenser's for
 //!   deterministic single-worker configurations.
 
+use loop_coalescing::ir::analysis::depend::analyze_nest;
+use loop_coalescing::ir::analysis::nest::extract_nest;
 use loop_coalescing::ir::interp::Interp;
 use loop_coalescing::ir::program::Program;
 use loop_coalescing::ir::stmt::{Loop, Stmt};
@@ -16,6 +18,7 @@ use loop_coalescing::machine::sim::{simulate_loop, LoopSchedule};
 use loop_coalescing::sched::dispatch::single_loop_dispatch;
 use loop_coalescing::sched::policy::{Dispenser, PolicyKind};
 use loop_coalescing::space;
+use loop_coalescing::xform::coalesce::{coalesce_band, CoalesceOptions};
 use loop_coalescing::xform::recovery::{recovery_stmts, RecoveryScheme};
 
 #[test]
@@ -28,6 +31,23 @@ fn ir_recovery_matches_space_math_for_many_shapes() {
                 .map(|k| Symbol::new(format!("i{k}")))
                 .collect();
             let mut body = recovery_stmts(scheme, &j, &vars, &dims);
+
+            // The coalescer emits exactly these statements for the
+            // all-constant normalized nest of the same shape.
+            let last = dims.len() - 1;
+            let mut nest = Loop::doall(vars[last].clone(), dims[last] as i64, Vec::new());
+            for k in (0..last).rev() {
+                nest = Loop::doall(vars[k].clone(), dims[k] as i64, vec![Stmt::Loop(nest)]);
+            }
+            let nest = extract_nest(&nest);
+            let opts = CoalesceOptions::builder()
+                .scheme(scheme)
+                .coalesced_var("j")
+                .build();
+            let out = coalesce_band(&nest, &analyze_nest(&nest).unwrap(), &opts).unwrap();
+            assert!(out.preamble.is_empty());
+            assert_eq!(out.transformed.body, body, "{scheme:?} dims {dims:?}");
+
             // Encode the recovered vector into OUT[j] with positional
             // weights so one store checks every index.
             let mut enc = Expr::lit(0);

@@ -162,6 +162,36 @@ fn empty_and_degenerate_loops_flow_through_every_layer() {
     assert_eq!(store.get("A", &[1, 1]).unwrap(), 0);
 }
 
+/// Validation seeds every declared array element, so a program declaring
+/// more elements than the interpreter's step budget is declined with a
+/// typed error before anything is allocated — not a capacity-overflow
+/// panic (2^61 elements here) or an allocation the size of the
+/// declaration.
+#[test]
+fn huge_declared_arrays_are_declined_before_validation_allocates() {
+    use loop_coalescing::xform::validate::check_order_independent;
+    let src = "
+        array R[6];
+        array W[1048576][2097152][1048576];
+        doall i = 1..1048576 {
+            doall j = 1..2097152 {
+                doall k = 1..1048576 {
+                    W[i][j][k] = i + j * 3;
+                }
+            }
+        }
+        ";
+    let budget = Interp::new().step_budget;
+    let out = std::panic::catch_unwind(|| Driver::default().compile(src))
+        .expect("compile must not panic");
+    assert_eq!(out.err(), Some(Error::StepBudgetExceeded { budget }));
+    let prog = parse_program(src).unwrap();
+    assert_eq!(
+        check_order_independent(&prog, 1),
+        Err(Error::StepBudgetExceeded { budget })
+    );
+}
+
 /// `i64::MIN / -1` has no `i64` quotient: the interpreter and the driver's
 /// validation must report it as a typed overflow instead of panicking.
 #[test]

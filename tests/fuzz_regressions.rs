@@ -38,7 +38,6 @@ doall i = 1..1 {
 "#;
     let coalesce = lc_xform::coalesce::CoalesceOptions::builder()
         .scheme(lc_xform::recovery::RecoveryScheme::Ceiling)
-        .check_legality(true)
         .levels_opt(None)
         .auto_normalize(true)
         .strength_reduce(true)
