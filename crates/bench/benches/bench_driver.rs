@@ -1,11 +1,16 @@
 //! Driver overhead and batch-compilation throughput: the full
 //! instrumented pipeline on a single program, the facade-compatible
-//! configuration, and `compile_batch` at increasing batch sizes.
+//! configuration, and `compile_batch` at increasing batch sizes — plus
+//! the serving codec: parsing a `/batch` request body and writing a
+//! `/compile` envelope.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
+use lc_driver::json::Json;
 use lc_driver::{Driver, DriverOptions};
+use lc_service::corpus::corpus72;
+use lc_service::server::compile_envelope;
 use lc_xform::coalesce::CoalesceOptions;
 
 const QUICKSTART: &str = "
@@ -75,5 +80,27 @@ fn bench_batch(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_compile, bench_batch);
+/// The server's codec on its own: the parse of a 32-program `/batch`
+/// request body, and the byte writer rendering the quickstart nest's
+/// `/compile` envelope.
+fn bench_json(c: &mut Criterion) {
+    let mut group = c.benchmark_group("json");
+    group.sample_size(100);
+
+    let sources = corpus72().into_iter().take(32).map(Json::Str).collect();
+    let body = Json::obj(vec![("sources", Json::Arr(sources))]).to_string();
+    group.bench_with_input(
+        BenchmarkId::new("parse/batch-body-bytes", body.len()),
+        &body,
+        |b, body| b.iter(|| Json::parse(black_box(body)).unwrap()),
+    );
+
+    let out = Driver::default().compile(QUICKSTART).unwrap();
+    group.bench_function("render/compile-envelope", |b| {
+        b.iter(|| compile_envelope(black_box(&out)))
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_compile, bench_batch, bench_json);
 criterion_main!(benches);

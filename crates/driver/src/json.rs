@@ -1,21 +1,36 @@
-//! A minimal JSON value type with a printer and parser.
+//! JSON for the driver and the compile server: a value type, a parser
+//! and one byte writer.
 //!
-//! The driver serializes [`crate::trace::PipelineTrace`] and
-//! [`crate::Skip`] diagnostics to JSON so external tooling can consume
-//! them. The workspace builds offline with no registry access, so rather
-//! than depending on `serde`/`serde_json` this module hand-rolls the tiny
+//! The workspace builds offline with no registry access, so rather than
+//! depending on `serde`/`serde_json` this module hand-rolls the tiny
 //! subset the driver needs: null, booleans, 64-bit integers, strings,
 //! arrays, and objects. Floats are deliberately unsupported — every
 //! number the driver emits (counters, nanosecond timings, nest indices)
 //! is integral, and keeping integers exact makes round-trips lossless.
 //!
-//! Parsing reports a typed [`ParseError`]; in particular integer
-//! literals outside `i64` are rejected with
+//! **Writing.** [`JsonWriter`] appends JSON text straight to a byte
+//! buffer, escaping each string in runs: the unescaped stretch between
+//! two special bytes is copied with one `push_str`. Every type the
+//! driver serializes — [`crate::trace::PipelineTrace`],
+//! [`crate::trace::TraceOutcome`], [`crate::Skip`],
+//! [`lc_ir::SkipReason`] and lint [`lc_lint::Finding`]s — writes its
+//! schema once, in its [`WriteJson`] impl, and the compile server
+//! renders its responses with those impls without building a tree.
+//! [`Json`]'s `Display` goes through the same writer, and each type's
+//! `to_json()` tree is [`tree`], the parse of the writer's bytes, so
+//! there is one codec and one schema per type.
+//!
+//! **Parsing.** [`Json::parse`] is linear in its input: a string is
+//! lexed in runs up to the next `"` or `\`, each appended with one
+//! `push_str`. Both delimiters are ASCII, so a run never ends inside a
+//! multi-byte character, and the input is a `&str`, so the runs need no
+//! UTF-8 check. Parsing reports a typed [`ParseError`]; in particular
+//! integer literals outside `i64` are rejected with
 //! [`ParseError::IntOutOfRange`] rather than whatever `from_str` would
 //! say, and `\uXXXX` escapes understand UTF-16 surrogate pairs (a lone
 //! surrogate is [`ParseError::LoneSurrogate`]).
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Maximum container nesting depth [`Json::parse`] accepts. The parser
 /// is recursive-descent, so without a cap an adversarial document of
@@ -103,8 +118,6 @@ pub enum ParseError {
         /// Byte offset of the first trailing byte.
         at: usize,
     },
-    /// A string literal containing invalid UTF-8.
-    InvalidUtf8,
     /// Containers nested deeper than [`MAX_JSON_DEPTH`].
     TooDeep {
         /// The depth limit that was exceeded.
@@ -129,7 +142,6 @@ impl fmt::Display for ParseError {
                 write!(f, "lone UTF-16 surrogate \\u{code:04x}")
             }
             ParseError::TrailingInput { at } => write!(f, "trailing input at byte {at}"),
-            ParseError::InvalidUtf8 => write!(f, "invalid UTF-8 in string"),
             ParseError::TooDeep { limit } => {
                 write!(f, "containers nested deeper than {limit} levels")
             }
@@ -155,6 +167,15 @@ impl Json {
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
             Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// Move the value of a key out of an object (the first, like
+    /// [`Json::get`]).
+    pub fn take(self, key: &str) -> Option<Json> {
+        match self {
+            Json::Obj(pairs) => pairs.into_iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
     }
@@ -203,9 +224,10 @@ impl Json {
             .ok_or_else(|| format!("field `{key}` is not a string"))
     }
 
-    /// Parse a JSON document.
+    /// Parse a JSON document, in time linear in its length.
     pub fn parse(src: &str) -> Result<Json, ParseError> {
         let mut p = Parser {
+            src,
             bytes: src.as_bytes(),
             pos: 0,
             depth: 0,
@@ -222,53 +244,189 @@ impl Json {
 
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&render(self))
+    }
+}
+
+impl WriteJson for Json {
+    fn write_json(&self, w: &mut JsonWriter) {
         match self {
-            Json::Null => f.write_str("null"),
-            Json::Bool(b) => write!(f, "{b}"),
-            Json::Int(n) => write!(f, "{n}"),
-            Json::Str(s) => write_escaped(f, s),
-            Json::Arr(items) => {
-                f.write_str("[")?;
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write!(f, "{item}")?;
+            Json::Null => w.null(),
+            Json::Bool(b) => w.bool(*b),
+            Json::Int(n) => w.int(*n),
+            Json::Str(s) => w.str(s),
+            Json::Arr(items) => w.arr(items, JsonWriter::value),
+            Json::Obj(pairs) => w.obj(|o| {
+                for (k, v) in pairs {
+                    o.key(k).value(v);
                 }
-                f.write_str("]")
-            }
-            Json::Obj(pairs) => {
-                f.write_str("{")?;
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write_escaped(f, k)?;
-                    write!(f, ":{v}")?;
-                }
-                f.write_str("}")
-            }
+            }),
         }
     }
 }
 
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
-        }
+/// A type with one JSON schema, written by [`WriteJson::write_json`].
+/// [`render`] gives its text and [`tree`] its [`Json`] value, both from
+/// that one method.
+pub trait WriteJson {
+    /// Append this value's JSON to `w`.
+    fn write_json(&self, w: &mut JsonWriter);
+}
+
+/// A value's JSON text.
+pub fn render<T: WriteJson + ?Sized>(value: &T) -> String {
+    let mut w = JsonWriter::new();
+    value.write_json(&mut w);
+    w.into_string()
+}
+
+/// A value's JSON as a tree: the parse of [`render`]'s text, so the tree
+/// and the bytes come from the same schema code.
+pub fn tree<T: WriteJson + ?Sized>(value: &T) -> Json {
+    Json::parse(&render(value)).expect("JsonWriter emits valid JSON")
+}
+
+/// Appends JSON text to a growing buffer. Values are written in
+/// document order and [`JsonWriter::obj`] and [`JsonWriter::arr`] place
+/// the separators; the caller writes one value per document, per array
+/// item and per [`ObjectWriter::key`].
+///
+/// ```
+/// use lc_driver::json::JsonWriter;
+///
+/// let mut w = JsonWriter::new();
+/// w.obj(|o| {
+///     o.key("ok").bool(true);
+///     o.key("items").arr([1, 2], |w, n| w.int(n));
+///     o.key("quote").str("say \"hi\"");
+/// });
+/// assert_eq!(w.into_string(), r#"{"ok":true,"items":[1,2],"quote":"say \"hi\""}"#);
+/// ```
+#[derive(Debug, Default)]
+pub struct JsonWriter {
+    // A `String` rather than a `Vec<u8>`: only `&str` slices and ASCII
+    // are ever appended, and keeping that invariant in the type lets
+    // `into_string` skip a UTF-8 check. `into_bytes` is free.
+    out: String,
+}
+
+impl JsonWriter {
+    /// An empty writer.
+    pub fn new() -> JsonWriter {
+        JsonWriter::default()
     }
-    f.write_str("\"")
+
+    /// The text written so far, as bytes (e.g. an HTTP body).
+    pub fn into_bytes(self) -> Vec<u8> {
+        self.out.into_bytes()
+    }
+
+    /// The text written so far.
+    pub fn into_string(self) -> String {
+        self.out
+    }
+
+    /// `null`.
+    pub fn null(&mut self) {
+        self.out.push_str("null");
+    }
+
+    /// `true` / `false`.
+    pub fn bool(&mut self, b: bool) {
+        self.out.push_str(if b { "true" } else { "false" });
+    }
+
+    /// An integer.
+    pub fn int(&mut self, n: i64) {
+        let _ = write!(self.out, "{n}");
+    }
+
+    /// A string, quoted and escaped: `"`, `\`, `\n`, `\r` and `\t` get
+    /// their short escapes, other control characters `\u00XX`, and
+    /// everything else (including non-ASCII) is copied verbatim.
+    pub fn str(&mut self, s: &str) {
+        const HEX: &[u8; 16] = b"0123456789abcdef";
+        self.out.push('"');
+        let mut run = 0;
+        for (i, b) in s.bytes().enumerate() {
+            if b != b'"' && b != b'\\' && b >= 0x20 {
+                continue;
+            }
+            // `b` is ASCII, so `i` is a char boundary.
+            self.out.push_str(&s[run..i]);
+            run = i + 1;
+            match b {
+                b'"' => self.out.push_str("\\\""),
+                b'\\' => self.out.push_str("\\\\"),
+                b'\n' => self.out.push_str("\\n"),
+                b'\r' => self.out.push_str("\\r"),
+                b'\t' => self.out.push_str("\\t"),
+                _ => {
+                    self.out.push_str("\\u00");
+                    self.out.push(char::from(HEX[usize::from(b >> 4)]));
+                    self.out.push(char::from(HEX[usize::from(b & 0xf)]));
+                }
+            }
+        }
+        self.out.push_str(&s[run..]);
+        self.out.push('"');
+    }
+
+    /// A value with its own schema.
+    pub fn value<T: WriteJson + ?Sized>(&mut self, v: &T) {
+        v.write_json(self);
+    }
+
+    /// An array: `each` writes one element per item.
+    pub fn arr<I: IntoIterator>(
+        &mut self,
+        items: I,
+        mut each: impl FnMut(&mut JsonWriter, I::Item),
+    ) {
+        self.out.push('[');
+        for (i, item) in items.into_iter().enumerate() {
+            if i > 0 {
+                self.out.push(',');
+            }
+            each(self, item);
+        }
+        self.out.push(']');
+    }
+
+    /// An object: `fields` writes its members through
+    /// [`ObjectWriter::key`], in order.
+    pub fn obj(&mut self, fields: impl FnOnce(&mut ObjectWriter<'_>)) {
+        self.out.push('{');
+        fields(&mut ObjectWriter {
+            w: self,
+            first: true,
+        });
+        self.out.push('}');
+    }
+}
+
+/// Writes the members of one object; see [`JsonWriter::obj`].
+pub struct ObjectWriter<'w> {
+    w: &'w mut JsonWriter,
+    first: bool,
+}
+
+impl ObjectWriter<'_> {
+    /// Start a member: writes the key, and returns the writer that must
+    /// then write exactly one value.
+    pub fn key(&mut self, key: &str) -> &mut JsonWriter {
+        if !self.first {
+            self.w.out.push(',');
+        }
+        self.first = false;
+        self.w.str(key);
+        self.w.out.push(':');
+        self.w
+    }
 }
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -351,7 +509,7 @@ impl Parser<'_> {
         if matches!(self.peek(), Some(b'.' | b'e' | b'E')) {
             return Err(ParseError::Float { at: self.pos });
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        let text = &self.src[start..self.pos];
         // The literal is sign + digits only, so the sole possible
         // `from_str` failure is i64 overflow — report it as such instead
         // of leaking `ParseIntError`'s message.
@@ -366,15 +524,13 @@ impl Parser<'_> {
     /// Four hex digits of a `\u` escape (the `\u` itself already eaten).
     fn hex4(&mut self) -> Result<u32, ParseError> {
         let at = self.pos;
-        if self.pos + 4 > self.bytes.len() {
-            return Err(ParseError::BadUnicodeEscape { at });
-        }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|_| ParseError::BadUnicodeEscape { at })?;
-        // `from_str_radix` tolerates a leading `+`; JSON does not.
-        if !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
-            return Err(ParseError::BadUnicodeEscape { at });
-        }
+        // `get` is `None` past the end or off a char boundary, and
+        // `from_str_radix` tolerates a leading `+`, which JSON does not.
+        let hex = self
+            .src
+            .get(at..at + 4)
+            .filter(|hex| hex.bytes().all(|b| b.is_ascii_hexdigit()))
+            .ok_or(ParseError::BadUnicodeEscape { at })?;
         let code = u32::from_str_radix(hex, 16).map_err(|_| ParseError::BadUnicodeEscape { at })?;
         self.pos += 4;
         Ok(code)
@@ -411,34 +567,34 @@ impl Parser<'_> {
         self.expect(b'"', "`\"`")?;
         let mut out = String::new();
         loop {
-            let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                .map_err(|_| ParseError::InvalidUtf8)?;
-            let mut chars = rest.char_indices();
-            let (_, c) = chars.next().ok_or(ParseError::UnterminatedString)?;
-            self.pos += c.len_utf8();
-            match c {
-                '"' => return Ok(out),
-                '\\' => {
-                    let esc = self.peek().ok_or(ParseError::UnterminatedString)?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => out.push(self.unicode_escape()?),
-                        _ => {
-                            return Err(ParseError::UnknownEscape {
-                                escape: esc as char,
-                            })
-                        }
-                    }
+            // Copy the run up to the next `"` or `\` in one piece. Both
+            // are ASCII, so the run ends on a char boundary.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or(ParseError::UnterminatedString)?;
+            out.push_str(&self.src[self.pos..self.pos + run]);
+            self.pos += run + 1;
+            if self.bytes[self.pos - 1] == b'"' {
+                return Ok(out);
+            }
+            let esc = self.peek().ok_or(ParseError::UnterminatedString)?;
+            self.pos += 1;
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'b' => out.push('\u{8}'),
+                b'f' => out.push('\u{c}'),
+                b'u' => out.push(self.unicode_escape()?),
+                _ => {
+                    return Err(ParseError::UnknownEscape {
+                        escape: esc as char,
+                    })
                 }
-                c => out.push(c),
             }
         }
     }
@@ -640,6 +796,44 @@ mod tests {
     }
 
     #[test]
+    fn escape_of_a_multi_byte_character_is_unknown() {
+        // The escaped byte is the character's UTF-8 lead byte.
+        assert_eq!(
+            Json::parse("\"a\\é\""),
+            Err(ParseError::UnknownEscape { escape: '\u{c3}' })
+        );
+        assert_eq!(
+            Json::parse("\"\\😀\""),
+            Err(ParseError::UnknownEscape { escape: '\u{f0}' })
+        );
+    }
+
+    #[test]
+    fn input_ending_inside_a_string_is_unterminated() {
+        for src in ["\"abc\\", "\"\\", "\"abc", "\"é", "[\"a\\\"", "{\"k\\"] {
+            assert_eq!(
+                Json::parse(src),
+                Err(ParseError::UnterminatedString),
+                "{src:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn writer_escapes_in_runs_and_matches_display() {
+        let s = "plain \"q\" back\\slash\n\r\t\u{0}\u{1f}\u{7f} é😀 end";
+        let mut w = JsonWriter::new();
+        w.str(s);
+        let text = w.into_string();
+        assert_eq!(
+            text,
+            "\"plain \\\"q\\\" back\\\\slash\\n\\r\\t\\u0000\\u001f\u{7f} é😀 end\""
+        );
+        assert_eq!(Json::Str(s.into()).to_string(), text);
+        assert_eq!(Json::parse(&text).unwrap(), Json::Str(s.into()));
+    }
+
+    #[test]
     fn truncated_unicode_escapes_are_typed_errors() {
         assert!(matches!(
             Json::parse("\"\\u00\""),
@@ -649,5 +843,10 @@ mod tests {
             Json::parse("\"\\u\""),
             Err(ParseError::BadUnicodeEscape { .. })
         ));
+        // A multi-byte character inside the four hex digits.
+        assert_eq!(
+            Json::parse("\"\\u0é1\""),
+            Err(ParseError::BadUnicodeEscape { at: 3 })
+        );
     }
 }

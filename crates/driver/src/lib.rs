@@ -88,13 +88,20 @@ impl fmt::Display for Skip {
     }
 }
 
+/// `{"nest":…,"reason":…}`, the reason tagged by `kind`.
+impl json::WriteJson for Skip {
+    fn write_json(&self, w: &mut json::JsonWriter) {
+        w.obj(|o| {
+            o.key("nest").int(self.nest as i64);
+            o.key("reason").value(&self.reason);
+        });
+    }
+}
+
 impl Skip {
-    /// Serialize as a tagged JSON object.
+    /// Serialize as a JSON object (see its [`json::WriteJson`] impl).
     pub fn to_json(&self) -> json::Json {
-        json::Json::obj(vec![
-            ("nest", json::Json::Int(self.nest as i64)),
-            ("reason", trace::skip_reason_to_json(&self.reason)),
-        ])
+        json::tree(self)
     }
 
     /// Deserialize from [`Skip::to_json`] output.

@@ -13,7 +13,7 @@ use std::fmt::Write as _;
 use lc_ir::{BoundPart, SkipReason, Symbol};
 
 use crate::cache::CacheStats;
-use crate::json::Json;
+use crate::json::{self, Json, JsonWriter, WriteJson};
 
 /// What a pass did to one nest.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -174,47 +174,15 @@ impl PipelineTrace {
         out
     }
 
-    /// Serialize the trace to a JSON document.
+    /// Serialize the trace to a JSON document (see [`WriteJson`] for
+    /// the schema).
     pub fn to_json(&self) -> Json {
-        let events = self
-            .events
-            .iter()
-            .map(|e| {
-                Json::obj(vec![
-                    (
-                        "nest",
-                        match e.nest {
-                            Some(n) => Json::Int(n as i64),
-                            None => Json::Null,
-                        },
-                    ),
-                    ("pass", Json::Str(e.pass.clone())),
-                    ("outcome", outcome_to_json(&e.outcome)),
-                    ("nanos", Json::Int(e.nanos as i64)),
-                ])
-            })
-            .collect();
-        let c = &self.cache;
-        Json::obj(vec![
-            ("events", Json::Arr(events)),
-            (
-                "cache",
-                Json::obj(vec![
-                    ("nest_computed", Json::Int(c.nest_computed as i64)),
-                    ("nest_hits", Json::Int(c.nest_hits as i64)),
-                    ("normalize_computed", Json::Int(c.normalize_computed as i64)),
-                    ("normalize_hits", Json::Int(c.normalize_hits as i64)),
-                    ("deps_computed", Json::Int(c.deps_computed as i64)),
-                    ("deps_hits", Json::Int(c.deps_hits as i64)),
-                ]),
-            ),
-            ("total_nanos", Json::Int(self.total_nanos as i64)),
-        ])
+        json::tree(self)
     }
 
     /// Serialize to a JSON string.
     pub fn to_json_string(&self) -> String {
-        self.to_json().to_string()
+        json::render(self)
     }
 
     /// Deserialize a trace from [`PipelineTrace::to_json`] output.
@@ -259,23 +227,58 @@ impl PipelineTrace {
     }
 }
 
-fn outcome_to_json(o: &TraceOutcome) -> Json {
-    match o {
-        TraceOutcome::Applied { rewrites } => Json::obj(vec![
-            ("kind", Json::Str("applied".into())),
-            ("rewrites", Json::Int(*rewrites as i64)),
-        ]),
-        TraceOutcome::Skipped { reason } => Json::obj(vec![
-            ("kind", Json::Str("skipped".into())),
-            ("reason", skip_reason_to_json(reason)),
-        ]),
-        TraceOutcome::Noop => Json::obj(vec![("kind", Json::Str("noop".into()))]),
-        TraceOutcome::Validated => Json::obj(vec![("kind", Json::Str("validated".into()))]),
-        TraceOutcome::Analyzed { findings, denied } => Json::obj(vec![
-            ("kind", Json::Str("analyzed".into())),
-            ("findings", Json::Int(*findings as i64)),
-            ("denied", Json::Int(*denied as i64)),
-        ]),
+impl WriteJson for PipelineTrace {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.obj(|o| {
+            o.key("events").arr(&self.events, |w, e| {
+                w.obj(|o| {
+                    opt_int(o.key("nest"), e.nest);
+                    o.key("pass").str(&e.pass);
+                    o.key("outcome").value(&e.outcome);
+                    o.key("nanos").int(e.nanos as i64);
+                })
+            });
+            let c = &self.cache;
+            o.key("cache").obj(|o| {
+                o.key("nest_computed").int(c.nest_computed as i64);
+                o.key("nest_hits").int(c.nest_hits as i64);
+                o.key("normalize_computed").int(c.normalize_computed as i64);
+                o.key("normalize_hits").int(c.normalize_hits as i64);
+                o.key("deps_computed").int(c.deps_computed as i64);
+                o.key("deps_hits").int(c.deps_hits as i64);
+            });
+            o.key("total_nanos").int(self.total_nanos as i64);
+        });
+    }
+}
+
+/// An optional index: an integer, or `null`.
+fn opt_int(w: &mut JsonWriter, n: Option<usize>) {
+    match n {
+        Some(n) => w.int(n as i64),
+        None => w.null(),
+    }
+}
+
+impl WriteJson for TraceOutcome {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.obj(|o| match self {
+            TraceOutcome::Applied { rewrites } => {
+                o.key("kind").str("applied");
+                o.key("rewrites").int(*rewrites as i64);
+            }
+            TraceOutcome::Skipped { reason } => {
+                o.key("kind").str("skipped");
+                o.key("reason").value(reason);
+            }
+            TraceOutcome::Noop => o.key("kind").str("noop"),
+            TraceOutcome::Validated => o.key("kind").str("validated"),
+            TraceOutcome::Analyzed { findings, denied } => {
+                o.key("kind").str("analyzed");
+                o.key("findings").int(*findings as i64);
+                o.key("denied").int(*denied as i64);
+            }
+        });
     }
 }
 
@@ -307,69 +310,81 @@ fn bound_part_str(p: BoundPart) -> &'static str {
 
 /// Serialize a [`SkipReason`] as a tagged JSON object.
 pub fn skip_reason_to_json(r: &SkipReason) -> Json {
-    let kind = |k: &str| ("kind", Json::Str(k.into()));
-    let sym = |k: &'static str, s: &Symbol| (k, Json::Str(s.as_str().into()));
-    match r {
-        SkipReason::BandOutOfRange { start, end, depth } => Json::obj(vec![
-            kind("band-out-of-range"),
-            ("start", Json::Int(*start as i64)),
-            ("end", Json::Int(*end as i64)),
-            ("depth", Json::Int(*depth as i64)),
-        ]),
-        SkipReason::CarriedDependence { level, var } => Json::obj(vec![
-            kind("carried-dependence"),
-            ("level", Json::Int(*level as i64)),
-            sym("var", var),
-        ]),
-        SkipReason::ScalarReduction { var } => {
-            Json::obj(vec![kind("scalar-reduction"), sym("var", var)])
-        }
-        SkipReason::SymbolicBound { var, part } => Json::obj(vec![
-            kind("symbolic-bound"),
-            sym("var", var),
-            ("part", Json::Str(bound_part_str(*part).into())),
-        ]),
-        SkipReason::SymbolicBounds => Json::obj(vec![kind("symbolic-bounds")]),
-        SkipReason::NotNormalized { var } => {
-            Json::obj(vec![kind("not-normalized"), sym("var", var)])
-        }
-        SkipReason::VariantBound { var, dep } => Json::obj(vec![
-            kind("variant-bound"),
-            sym("var", var),
-            sym("dep", dep),
-        ]),
-        SkipReason::InterchangeOutOfRange { level, depth } => Json::obj(vec![
-            kind("interchange-out-of-range"),
-            ("level", Json::Int(*level as i64)),
-            ("depth", Json::Int(*depth as i64)),
-        ]),
-        SkipReason::NotRectangular { var, other } => Json::obj(vec![
-            kind("not-rectangular"),
-            sym("var", var),
-            sym("other", other),
-        ]),
-        SkipReason::InterchangeIllegal { level, array } => Json::obj(vec![
-            kind("interchange-illegal"),
-            ("level", Json::Int(*level as i64)),
-            sym("array", array),
-        ]),
-        SkipReason::ImperfectNest { found } => Json::obj(vec![
-            kind("imperfect-nest"),
-            ("found", Json::Int(*found as i64)),
-        ]),
-        SkipReason::NothingLegal => Json::obj(vec![kind("nothing-legal")]),
-        SkipReason::LintDenied { code, message } => Json::obj(vec![
-            kind("lint-denied"),
-            ("code", Json::Str(code.clone())),
-            ("message", Json::Str(message.clone())),
-        ]),
-        SkipReason::Other(m) => Json::obj(vec![kind("other"), ("message", Json::Str(m.clone()))]),
-        // `SkipReason` is #[non_exhaustive]; future variants degrade to a
-        // message-only encoding rather than failing to serialize.
-        other => Json::obj(vec![
-            kind("other"),
-            ("message", Json::Str(other.to_string())),
-        ]),
+    json::tree(r)
+}
+
+/// A tagged object: `kind` names the variant, the other keys carry its
+/// fields.
+impl WriteJson for SkipReason {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.obj(|o| match self {
+            SkipReason::BandOutOfRange { start, end, depth } => {
+                o.key("kind").str("band-out-of-range");
+                o.key("start").int(*start as i64);
+                o.key("end").int(*end as i64);
+                o.key("depth").int(*depth as i64);
+            }
+            SkipReason::CarriedDependence { level, var } => {
+                o.key("kind").str("carried-dependence");
+                o.key("level").int(*level as i64);
+                o.key("var").str(var.as_str());
+            }
+            SkipReason::ScalarReduction { var } => {
+                o.key("kind").str("scalar-reduction");
+                o.key("var").str(var.as_str());
+            }
+            SkipReason::SymbolicBound { var, part } => {
+                o.key("kind").str("symbolic-bound");
+                o.key("var").str(var.as_str());
+                o.key("part").str(bound_part_str(*part));
+            }
+            SkipReason::SymbolicBounds => o.key("kind").str("symbolic-bounds"),
+            SkipReason::NotNormalized { var } => {
+                o.key("kind").str("not-normalized");
+                o.key("var").str(var.as_str());
+            }
+            SkipReason::VariantBound { var, dep } => {
+                o.key("kind").str("variant-bound");
+                o.key("var").str(var.as_str());
+                o.key("dep").str(dep.as_str());
+            }
+            SkipReason::InterchangeOutOfRange { level, depth } => {
+                o.key("kind").str("interchange-out-of-range");
+                o.key("level").int(*level as i64);
+                o.key("depth").int(*depth as i64);
+            }
+            SkipReason::NotRectangular { var, other } => {
+                o.key("kind").str("not-rectangular");
+                o.key("var").str(var.as_str());
+                o.key("other").str(other.as_str());
+            }
+            SkipReason::InterchangeIllegal { level, array } => {
+                o.key("kind").str("interchange-illegal");
+                o.key("level").int(*level as i64);
+                o.key("array").str(array.as_str());
+            }
+            SkipReason::ImperfectNest { found } => {
+                o.key("kind").str("imperfect-nest");
+                o.key("found").int(*found as i64);
+            }
+            SkipReason::NothingLegal => o.key("kind").str("nothing-legal"),
+            SkipReason::LintDenied { code, message } => {
+                o.key("kind").str("lint-denied");
+                o.key("code").str(code);
+                o.key("message").str(message);
+            }
+            SkipReason::Other(m) => {
+                o.key("kind").str("other");
+                o.key("message").str(m);
+            }
+            // `SkipReason` is #[non_exhaustive]; future variants
+            // degrade to a message-only encoding rather than failing
+            // to serialize.
+            other => {
+                o.key("kind").str("other");
+                o.key("message").str(&other.to_string());
+            }
+        });
     }
 }
 
@@ -428,32 +443,32 @@ pub fn skip_reason_from_json(v: &Json) -> Result<SkipReason, String> {
 }
 
 /// Serialize one `lc-lint` [`Finding`](lc_lint::Finding) as a JSON
-/// object with a fixed key order (`code`, `slug`, `severity`, `nest`,
-/// `level`, `line`, `message`, `details`). Service envelopes and the
-/// `lc-lint` CLI's corpus report both use it, so they share one schema.
+/// object (see its [`WriteJson`] impl for the schema).
 pub fn finding_to_json(f: &lc_lint::Finding) -> Json {
-    let opt = |v: Option<usize>| match v {
-        Some(n) => Json::Int(n as i64),
-        None => Json::Null,
-    };
-    Json::obj(vec![
-        ("code", Json::Str(f.code.code().into())),
-        ("slug", Json::Str(f.code.slug().into())),
-        ("severity", Json::Str(f.severity.name().into())),
-        ("nest", Json::Int(f.nest as i64)),
-        ("level", opt(f.level)),
-        ("line", opt(f.line)),
-        ("message", Json::Str(f.message.clone())),
-        (
-            "details",
-            Json::Obj(
-                f.details
-                    .iter()
-                    .map(|(k, v)| (k.clone(), Json::Str(v.clone())))
-                    .collect(),
-            ),
-        ),
-    ])
+    json::tree(f)
+}
+
+/// A finding is an object with a fixed key order (`code`, `slug`,
+/// `severity`, `nest`, `level`, `line`, `message`, `details`). Service
+/// envelopes and the `lc-lint` CLI's corpus report both use it, so they
+/// share one schema.
+impl WriteJson for lc_lint::Finding {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.obj(|o| {
+            o.key("code").str(self.code.code());
+            o.key("slug").str(self.code.slug());
+            o.key("severity").str(self.severity.name());
+            o.key("nest").int(self.nest as i64);
+            opt_int(o.key("level"), self.level);
+            opt_int(o.key("line"), self.line);
+            o.key("message").str(&self.message);
+            o.key("details").obj(|d| {
+                for (k, v) in &self.details {
+                    d.key(k).str(v);
+                }
+            });
+        });
+    }
 }
 
 /// The corpus report: one `{"index":…,"findings":[…]}` line per
@@ -462,14 +477,12 @@ pub fn finding_to_json(f: &lc_lint::Finding) -> Json {
 pub fn corpus_report_json(per_program: &[(usize, Vec<lc_lint::Finding>)]) -> String {
     let mut out = String::from("[\n");
     for (i, (index, findings)) in per_program.iter().enumerate() {
-        let line = Json::obj(vec![
-            ("index", Json::Int(*index as i64)),
-            (
-                "findings",
-                Json::Arr(findings.iter().map(finding_to_json).collect()),
-            ),
-        ]);
-        out.push_str(&line.to_string());
+        let mut w = JsonWriter::new();
+        w.obj(|o| {
+            o.key("index").int(*index as i64);
+            o.key("findings").arr(findings, JsonWriter::value);
+        });
+        out.push_str(&w.into_string());
         if i + 1 < per_program.len() {
             out.push(',');
         }

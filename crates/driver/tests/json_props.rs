@@ -2,9 +2,12 @@
 //! for every value the driver can emit, including hostile strings
 //! (escapes, control characters, astral-plane characters that a UTF-16
 //! encoder would split into surrogate pairs) and boundary integers
-//! (`i64::MIN`/`i64::MAX`).
+//! (`i64::MIN`/`i64::MAX`) — and the byte writer prints exactly what a
+//! character-at-a-time reference printer does.
 
-use lc_driver::json::{Json, ParseError};
+use std::fmt::Write as _;
+
+use lc_driver::json::{render, Json, JsonWriter, ParseError};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use proptest::sample::select;
@@ -73,8 +76,84 @@ fn arb_json() -> BoxedStrategy<Json> {
     })
 }
 
+/// The reference printer: one character at a time, the format the
+/// writer's run-based escaper must reproduce byte for byte.
+fn reference(v: &Json, out: &mut String) {
+    fn string(s: &str, out: &mut String) {
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32).unwrap(),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+    match v {
+        Json::Null => out.push_str("null"),
+        Json::Bool(b) => write!(out, "{b}").unwrap(),
+        Json::Int(n) => write!(out, "{n}").unwrap(),
+        Json::Str(s) => string(s, out),
+        Json::Arr(items) => {
+            out.push('[');
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                reference(item, out);
+            }
+            out.push(']');
+        }
+        Json::Obj(pairs) => {
+            out.push('{');
+            for (i, (k, v)) in pairs.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                string(k, out);
+                out.push(':');
+                reference(v, out);
+            }
+            out.push('}');
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn documents_of_hundreds_of_hostile_strings_round_trip(
+        strings in vec(hostile_string(), 200..400),
+    ) {
+        let doc = Json::Arr(vec![
+            Json::Arr(strings.iter().cloned().map(Json::Str).collect()),
+            Json::Obj(strings.iter().map(|s| (s.clone(), Json::Str(s.clone()))).collect()),
+        ]);
+        let text = doc.to_string();
+        prop_assert_eq!(Json::parse(&text), Ok(doc));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn writer_bytes_equal_display_and_the_reference_printer(v in arb_json()) {
+        let mut w = JsonWriter::new();
+        w.value(&v);
+        let bytes = w.into_bytes();
+        let mut want = String::new();
+        reference(&v, &mut want);
+        prop_assert_eq!(&bytes, &want.clone().into_bytes());
+        prop_assert_eq!(render(&v), v.to_string());
+        prop_assert_eq!(v.to_string(), want);
+    }
 
     #[test]
     fn print_parse_round_trips(v in arb_json()) {

@@ -57,6 +57,20 @@ fn handcrafted() -> Vec<(&'static str, Vec<u8>, bool)> {
         head.extend_from_slice(&b);
         head
     };
+    // A body at the default 1 MiB cap: one string of almost 1 MiB, then
+    // a non-string source, so the answer (422) needs the whole string
+    // lexed. A lexer that is quadratic in the string took ~23 s here.
+    let huge_json = {
+        let pad = 1024 * 1024 - br#"{"sources":["",1]}"#.len();
+        let body = format!("{{\"sources\":[\"{}\",1]}}", "a".repeat(pad));
+        let mut head = format!(
+            "POST /batch HTTP/1.1\r\ncontent-length: {}\r\n\r\n",
+            body.len()
+        )
+        .into_bytes();
+        head.extend_from_slice(body.as_bytes());
+        head
+    };
     let deep_dsl = {
         let mut src = b"array A[1];\nA[1] = ".to_vec();
         src.extend(std::iter::repeat_n(b'(', 30_000));
@@ -126,6 +140,7 @@ fn handcrafted() -> Vec<(&'static str, Vec<u8>, bool)> {
             false,
         ),
         ("deep-json-batch", deep_json, false),
+        ("huge-json-batch", huge_json, false),
         ("deep-dsl-compile", deep_dsl, false),
     ]
 }

@@ -203,10 +203,16 @@ impl Response {
 
     /// A response with the given status and a JSON body.
     pub fn json(status: u16, value: &Json) -> Response {
+        Response::json_body(status, value.to_string().into_bytes())
+    }
+
+    /// A response with the given status and an already rendered JSON
+    /// body (e.g. from a [`lc_driver::json::JsonWriter`]).
+    pub fn json_body(status: u16, body: Vec<u8>) -> Response {
         Response {
             status,
             headers: vec![("content-type".to_string(), "application/json".to_string())],
-            body: value.to_string().into_bytes(),
+            body,
         }
     }
 

@@ -28,9 +28,8 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use lc_driver::json::Json;
-use lc_driver::trace::finding_to_json;
-use lc_driver::{Driver, DriverOptions, DriverOutput};
+use lc_driver::json::{Json, JsonWriter};
+use lc_driver::{BatchItem, Driver, DriverOptions, DriverOutput};
 
 use crate::cache::{fnv1a, ShardedLru};
 use crate::http::{read_request, ReadError, Request, Response};
@@ -366,12 +365,7 @@ fn handle_compile(shared: &Shared, req: Request) -> Response {
     if let Some(body) = shared.cache.get(key) {
         // Byte-identical to the miss path: the cached value *is* the
         // body the worker rendered.
-        return Response {
-            status: 200,
-            headers: vec![("content-type".to_string(), "application/json".to_string())],
-            body: body.as_ref().clone(),
-        }
-        .with_header("x-cache", "hit");
+        return Response::json_body(200, body.as_ref().clone()).with_header("x-cache", "hit");
     }
     run_job(shared, JobKind::Compile { key, source }, deadline)
 }
@@ -392,14 +386,14 @@ fn handle_batch(shared: &Shared, req: Request) -> Response {
         Ok(v) => v,
         Err(e) => return Response::error(400, format!("bad JSON body: {e}")),
     };
-    let Some(sources) = parsed.get("sources").and_then(Json::as_arr) else {
+    let Some(Json::Arr(sources)) = parsed.take("sources") else {
         return Response::error(422, "body must be {\"sources\": [\"...\", ...]}");
     };
     let mut list = Vec::with_capacity(sources.len());
     for s in sources {
-        match s.as_str() {
-            Some(text) => list.push(text.to_string()),
-            None => return Response::error(422, "every source must be a string"),
+        match s {
+            Json::Str(text) => list.push(text),
+            _ => return Response::error(422, "every source must be a string"),
         }
     }
     if list.is_empty() {
@@ -440,17 +434,13 @@ fn handle_analyze(shared: &Shared, req: Request) -> Response {
                 .metrics
                 .lint_denied
                 .fetch_add(denied as u64, Ordering::Relaxed);
-            Response::json(
-                200,
-                &Json::obj(vec![
-                    ("ok", Json::Bool(true)),
-                    (
-                        "findings",
-                        Json::Arr(findings.iter().map(finding_to_json).collect()),
-                    ),
-                    ("denied", Json::Int(denied as i64)),
-                ]),
-            )
+            let mut w = JsonWriter::new();
+            w.obj(|o| {
+                o.key("ok").bool(true);
+                o.key("findings").arr(&findings, JsonWriter::value);
+                o.key("denied").int(denied as i64);
+            });
+            Response::json_body(200, w.into_bytes())
         }
         Ok(Err(e)) => Response::error(422, e.to_string()),
         Err(_) => Response::error(500, "analyze panicked"),
@@ -498,14 +488,9 @@ fn worker_loop(shared: &Shared) {
 fn compile_job(shared: &Shared, key: u64, source: &str) -> Response {
     match catch_unwind(AssertUnwindSafe(|| shared.driver.compile(source))) {
         Ok(Ok(out)) => {
-            let body = output_json(&out).to_string().into_bytes();
+            let body = compile_envelope(&out);
             shared.cache.insert(key, body.clone());
-            Response {
-                status: 200,
-                headers: vec![("content-type".to_string(), "application/json".to_string())],
-                body,
-            }
-            .with_header("x-cache", "miss")
+            Response::json_body(200, body).with_header("x-cache", "miss")
         }
         Ok(Err(e)) => Response::error(422, e.to_string()),
         Err(_) => {
@@ -519,49 +504,49 @@ fn batch_job(shared: &Shared, sources: &[String]) -> Response {
     // `compile_batch` already converts per-item panics into per-item
     // errors and times each item.
     let items = shared.driver.compile_batch(sources);
-    let rendered: Vec<Json> = items
-        .iter()
-        .map(|item| match &item.result {
-            Ok(out) => Json::obj(vec![
-                ("ok", Json::Bool(true)),
-                ("source", Json::Str(out.transformed_source.clone())),
-                ("coalesced_nests", Json::Int(out.coalesced.len() as i64)),
-                ("nanos", Json::Int(item.nanos.min(i64::MAX as u64) as i64)),
-            ]),
-            Err(e) => Json::obj(vec![
-                ("ok", Json::Bool(false)),
-                ("error", Json::Str(e.to_string())),
-                ("nanos", Json::Int(item.nanos.min(i64::MAX as u64) as i64)),
-            ]),
-        })
-        .collect();
     let ok_count = items.iter().filter(|i| i.result.is_ok()).count();
-    Response::json(
-        200,
-        &Json::obj(vec![
-            ("ok", Json::Bool(true)),
-            ("items", Json::Arr(rendered)),
-            ("succeeded", Json::Int(ok_count as i64)),
-            ("failed", Json::Int((items.len() - ok_count) as i64)),
-        ]),
-    )
+    let mut w = JsonWriter::new();
+    w.obj(|o| {
+        o.key("ok").bool(true);
+        o.key("items").arr(&items, batch_item);
+        o.key("succeeded").int(ok_count as i64);
+        o.key("failed").int((items.len() - ok_count) as i64);
+    });
+    Response::json_body(200, w.into_bytes())
 }
 
-/// The `/compile` success payload: transformed source, coalesce/skip
-/// summaries, lint findings, and the full pipeline trace.
-fn output_json(out: &DriverOutput) -> Json {
-    Json::obj(vec![
-        ("ok", Json::Bool(true)),
-        ("source", Json::Str(out.transformed_source.clone())),
-        ("coalesced_nests", Json::Int(out.coalesced.len() as i64)),
-        (
-            "skipped",
-            Json::Arr(out.skipped.iter().map(|s| s.to_json()).collect()),
-        ),
-        (
-            "lints",
-            Json::Arr(out.lints.iter().map(finding_to_json).collect()),
-        ),
-        ("trace", out.trace.to_json()),
-    ])
+/// One `/batch` item: the transformed source and coalesced-nest count,
+/// or the error, plus the item's compile time.
+fn batch_item(w: &mut JsonWriter, item: &BatchItem) {
+    w.obj(|o| {
+        match &item.result {
+            Ok(out) => {
+                o.key("ok").bool(true);
+                o.key("source").str(&out.transformed_source);
+                o.key("coalesced_nests").int(out.coalesced.len() as i64);
+            }
+            Err(e) => {
+                o.key("ok").bool(false);
+                o.key("error").str(&e.to_string());
+            }
+        }
+        o.key("nanos").int(item.nanos.min(i64::MAX as u64) as i64);
+    });
+}
+
+/// The `/compile` success body: transformed source, coalesce/skip
+/// summaries, lint findings, and the full pipeline trace, written
+/// straight to bytes with each type's [`lc_driver::json::WriteJson`]
+/// schema.
+pub fn compile_envelope(out: &DriverOutput) -> Vec<u8> {
+    let mut w = JsonWriter::new();
+    w.obj(|o| {
+        o.key("ok").bool(true);
+        o.key("source").str(&out.transformed_source);
+        o.key("coalesced_nests").int(out.coalesced.len() as i64);
+        o.key("skipped").arr(&out.skipped, JsonWriter::value);
+        o.key("lints").arr(&out.lints, JsonWriter::value);
+        o.key("trace").value(&out.trace);
+    });
+    w.into_bytes()
 }

@@ -7,11 +7,13 @@
 use std::time::Duration;
 
 use lc_driver::json::Json;
-use lc_driver::DriverOptions;
+use lc_driver::trace::finding_to_json;
+use lc_driver::{Driver, DriverOptions};
 use lc_service::client;
 use lc_service::corpus::corpus72;
 use lc_service::loadgen::{run as loadgen_run, LoadTarget, LoadgenConfig};
 use lc_service::metrics::scrape_counter;
+use lc_service::server::compile_envelope;
 use lc_service::{Server, ServiceConfig};
 use lc_xform::coalesce::CoalesceOptions;
 
@@ -492,4 +494,65 @@ fn compile_envelopes_match_the_pre_refactor_fixture() {
         );
     }
     assert_eq!(got, want, "envelope line count diverged from the fixture");
+}
+
+/// Regression test for the quadratic `/batch` parse: a 1 MiB body used
+/// to take about 23 s (every string character re-validated the rest of
+/// the document as UTF-8), past the default deadline. A linear parse
+/// answers within the client timeout.
+#[test]
+fn megabyte_batch_body_is_parsed_in_linear_time() {
+    let server = facade_server(|cfg| cfg.max_body_bytes = 2 * 1024 * 1024);
+    let body = format!("{{\"sources\":[\"{}\",1]}}", "a".repeat(1024 * 1024));
+    let resp = client::post(
+        server.addr(),
+        "/batch",
+        body.as_bytes(),
+        Duration::from_secs(5),
+    )
+    .expect("answer within the client timeout");
+    assert_eq!(resp.status, 422, "body: {}", resp.body_text());
+    assert_eq!(
+        Json::parse(&resp.body_text()).unwrap().str_field("error"),
+        Ok("every source must be a string")
+    );
+    server.shutdown();
+}
+
+/// The server writes `/compile` envelopes with the byte writer; the
+/// fixture test above parses and re-renders them, so it cannot see
+/// formatting drift between the writer and the `Json` tree. Pin the raw
+/// bytes against the tree built from each type's `to_json()` instead,
+/// for every corpus program under the fixture's configuration and the
+/// default one (which also runs the lints).
+#[test]
+fn compile_envelope_bytes_equal_the_json_tree_rendering() {
+    let drivers = [
+        Driver::new(DriverOptions::facade_compat(CoalesceOptions::default())),
+        Driver::default(),
+    ];
+    for driver in &drivers {
+        for (k, src) in corpus72().iter().enumerate() {
+            let out = driver.compile(src).unwrap();
+            let tree = Json::obj(vec![
+                ("ok", Json::Bool(true)),
+                ("source", Json::Str(out.transformed_source.clone())),
+                ("coalesced_nests", Json::Int(out.coalesced.len() as i64)),
+                (
+                    "skipped",
+                    Json::Arr(out.skipped.iter().map(|s| s.to_json()).collect()),
+                ),
+                (
+                    "lints",
+                    Json::Arr(out.lints.iter().map(finding_to_json).collect()),
+                ),
+                ("trace", out.trace.to_json()),
+            ]);
+            assert_eq!(
+                String::from_utf8(compile_envelope(&out)).unwrap(),
+                tree.to_string(),
+                "corpus program {k}"
+            );
+        }
+    }
 }
