@@ -142,6 +142,15 @@ fn handcrafted() -> Vec<(&'static str, Vec<u8>, bool)> {
         ("deep-json-batch", deep_json, false),
         ("huge-json-batch", huge_json, false),
         ("deep-dsl-compile", deep_dsl, false),
+        // A character of more than two bytes where the lexer looks for
+        // two-character punctuation: a parse error (422), not a panic.
+        (
+            "multibyte-dsl-source",
+            "POST /compile HTTP/1.1\r\ncontent-length: 10\r\n\r\nx = 1; €"
+                .as_bytes()
+                .to_vec(),
+            false,
+        ),
     ]
 }
 

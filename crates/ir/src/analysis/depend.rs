@@ -29,15 +29,23 @@
 //! as analysing its normalization, or a more precise one where a guard
 //! pin survives that normalization rewrites away. Either may be handed to
 //! a transformation of the other.
+//!
+//! # References
+//!
+//! The references come from the one IR walker ([`super::walk`]), in
+//! evaluation order: the array reads in the headers of levels `1..`,
+//! which run once per iteration of the level outside them, then the
+//! body's. A header reference is tested as if it ran in every iteration
+//! of its own and deeper levels, which can only add dependences. The
+//! outermost header runs once, before any iteration, and is not analysed.
 
 use std::collections::BTreeSet;
 
 use crate::analysis::affine::Affine;
 use crate::analysis::nest::{LoopHeader, Nest};
+use crate::analysis::walk::{Access, Pins, Visit, Walker};
 use crate::arith::gcd;
 use crate::error::Result;
-use crate::expr::{Cond, Expr};
-use crate::stmt::Stmt;
 use crate::symbol::Symbol;
 
 /// Direction of `i_k` (source iteration) relative to `i'_k` (sink
@@ -106,8 +114,11 @@ pub struct Dependence {
     /// Index (into the analyzed body's top-level statement list) of the
     /// statement containing the dependence *source* (the endpoint whose
     /// iteration executes first under the normalized orientation).
+    /// Indices from the body's length on name inner-level headers:
+    /// `body.len() + k - 1` is the header of level `k ≥ 1`, so no header
+    /// shares an index with a body statement.
     pub src_stmt: usize,
-    /// Top-level statement index of the dependence *sink*.
+    /// Statement index of the dependence *sink*, numbered as `src_stmt`.
     pub dst_stmt: usize,
 }
 
@@ -184,8 +195,28 @@ pub struct BlockingDep<'a> {
 pub fn analyze_nest(nest: &Nest) -> Result<NestDeps> {
     let levels: Vec<LevelInfo> = nest.loops.iter().map(LevelInfo::of).collect();
 
+    // Inner-level headers run once per iteration of the level outside
+    // them, before the body: their references come first, under the
+    // statement indices past the body (see `Dependence::src_stmt`).
     let mut refs = Vec::new();
-    collect_stmts(&nest.body, &mut refs);
+    let mut walker = Walker::default();
+    for (k, h) in nest.loops.iter().enumerate().skip(1) {
+        let stmt = nest.body.len() + k - 1;
+        for e in [&h.lower, &h.upper, &h.step] {
+            walker.expr(e, &mut |v| {
+                if let Visit::Access(a) = v {
+                    refs.push(RefInfo::of(a, stmt, &nest.loops[k..]));
+                }
+            });
+        }
+    }
+    for (stmt, s) in nest.body.iter().enumerate() {
+        walker.stmts(std::slice::from_ref(s), &mut |v| {
+            if let Visit::Access(a) = v {
+                refs.push(RefInfo::of(a, stmt, &[]));
+            }
+        });
+    }
     for r in &mut refs {
         r.renumber_by_iteration(&levels);
     }
@@ -335,17 +366,29 @@ struct RefInfo {
     is_write: bool,
     /// Affine form per subscript position; `None` = non-affine.
     subs: Vec<Option<Affine>>,
-    /// Which top-level statement of the analyzed body this ref sits in.
+    /// The statement index the reference is reported under (see
+    /// `Dependence::src_stmt`).
     stmt: usize,
-    /// Variables pinned to a constant by enclosing `if v == c` guards
-    /// (guard-aware analysis: a ref under `if j == 1 { … }` can only
-    /// execute in iterations with `j = 1`).
-    pins: std::collections::BTreeMap<Symbol, i64>,
+    /// Guard pins in force at the reference.
+    pins: Pins,
 }
 
-type Pins = std::collections::BTreeMap<Symbol, i64>;
-
 impl RefInfo {
+    /// A reference outside the scope of the levels `unbound`: a
+    /// subscript naming one of their indices reads an outer value of that
+    /// name, so it counts as non-affine.
+    fn of(a: Access<'_>, stmt: usize, unbound: &[LoopHeader]) -> RefInfo {
+        let affine =
+            |ix| Affine::from_expr(ix).filter(|f| unbound.iter().all(|u| f.coeff(&u.var) == 0));
+        RefInfo {
+            array: a.array.clone(),
+            is_write: a.write,
+            subs: a.indices.iter().map(affine).collect(),
+            stmt,
+            pins: a.pins.clone(),
+        }
+    }
+
     /// Rewrite subscripts and pins of iteration-numbered levels from
     /// `var` to `t`, where `var = base + step·t`. A coefficient that
     /// overflows makes its subscript non-affine; a pin no iteration
@@ -379,110 +422,6 @@ impl RefInfo {
                     0
                 };
             }
-        }
-    }
-}
-
-fn collect_stmts(stmts: &[Stmt], out: &mut Vec<RefInfo>) {
-    for (i, s) in stmts.iter().enumerate() {
-        collect_stmts_at(std::slice::from_ref(s), i, &Pins::new(), out);
-    }
-}
-
-/// Extract `v == c` equalities implied by a guard condition (only the
-/// plain conjunctive forms; anything else pins nothing — conservative).
-fn guard_pins(c: &Cond, out: &mut Pins) {
-    match c {
-        Cond::Cmp(crate::expr::CmpOp::Eq, a, b) => {
-            if let (Expr::Var(v), Some(k)) = (a, b.as_const()) {
-                out.insert(v.clone(), k);
-            } else if let (Some(k), Expr::Var(v)) = (a.as_const(), b) {
-                out.insert(v.clone(), k);
-            }
-        }
-        Cond::And(a, b) => {
-            guard_pins(a, out);
-            guard_pins(b, out);
-        }
-        _ => {}
-    }
-}
-
-fn collect_stmts_at(stmts: &[Stmt], idx: usize, pins: &Pins, out: &mut Vec<RefInfo>) {
-    for s in stmts {
-        match s {
-            Stmt::AssignScalar { value, .. } => collect_expr(value, idx, pins, out),
-            Stmt::AssignArray { target, value } => {
-                collect_expr(value, idx, pins, out);
-                for ix in &target.indices {
-                    collect_expr(ix, idx, pins, out);
-                }
-                out.push(RefInfo {
-                    array: target.array.clone(),
-                    is_write: true,
-                    subs: target.indices.iter().map(Affine::from_expr).collect(),
-                    stmt: idx,
-                    pins: pins.clone(),
-                });
-            }
-            Stmt::Loop(l) => {
-                collect_expr(&l.lower, idx, pins, out);
-                collect_expr(&l.upper, idx, pins, out);
-                collect_expr(&l.step, idx, pins, out);
-                // The loop rebinds its variable: any pin on it no longer
-                // applies inside.
-                let mut inner = pins.clone();
-                inner.remove(&l.var);
-                collect_stmts_at(&l.body, idx, &inner, out);
-            }
-            Stmt::If {
-                cond,
-                then_body,
-                else_body,
-            } => {
-                collect_cond(cond, idx, pins, out);
-                let mut then_pins = pins.clone();
-                guard_pins(cond, &mut then_pins);
-                collect_stmts_at(then_body, idx, &then_pins, out);
-                collect_stmts_at(else_body, idx, pins, out);
-            }
-        }
-    }
-}
-
-fn collect_expr(e: &Expr, idx: usize, pins: &Pins, out: &mut Vec<RefInfo>) {
-    match e {
-        Expr::Const(_) | Expr::Var(_) => {}
-        Expr::Read(r) => {
-            for ix in &r.indices {
-                collect_expr(ix, idx, pins, out);
-            }
-            out.push(RefInfo {
-                array: r.array.clone(),
-                is_write: false,
-                subs: r.indices.iter().map(Affine::from_expr).collect(),
-                stmt: idx,
-                pins: pins.clone(),
-            });
-        }
-        Expr::Unary(_, a) => collect_expr(a, idx, pins, out),
-        Expr::Binary(_, a, b) => {
-            collect_expr(a, idx, pins, out);
-            collect_expr(b, idx, pins, out);
-        }
-    }
-}
-
-fn collect_cond(c: &Cond, idx: usize, pins: &Pins, out: &mut Vec<RefInfo>) {
-    match c {
-        Cond::Cmp(_, a, b) => {
-            collect_expr(a, idx, pins, out);
-            collect_expr(b, idx, pins, out);
-        }
-        Cond::Not(x) => collect_cond(x, idx, pins, out),
-        Cond::And(a, b) | Cond::Or(a, b) => {
-            collect_cond(a, idx, pins, out);
-            collect_cond(b, idx, pins, out);
         }
     }
 }
@@ -770,6 +709,7 @@ mod tests {
     use super::*;
     use crate::analysis::nest::extract_nest;
     use crate::parser::parse_program;
+    use crate::stmt::Stmt;
 
     fn deps_of(src: &str) -> NestDeps {
         let p = parse_program(src).unwrap();
@@ -1269,6 +1209,19 @@ mod tests {
             ",
         );
         assert!(d.carried_at(0), "{d:?}");
+    }
+
+    #[test]
+    fn inner_header_reads_are_analysed() {
+        // Level 1's bound reads A[i + 1], which iteration i + 1 writes:
+        // an anti dependence carried at level 0. The header of level 1 is
+        // statement index 1, past the one-statement body.
+        let d = deps_of("array A[6]; doall i = 1..4 { for j = 1..A[i + 1] { A[i] = j; } }");
+        let b = d
+            .explain(0)
+            .expect("the header read races with the body write");
+        assert_eq!(b.dep.kind, DepKind::Anti);
+        assert_eq!((b.dep.src_stmt, b.dep.dst_stmt), (1, 0));
     }
 
     #[test]

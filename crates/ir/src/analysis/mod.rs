@@ -12,12 +12,14 @@
 //!    assigns is assigned before it is read in each iteration, so it can
 //!    be privatized ([`scalars`]).
 //!
-//! Together, 2 and 3 make a level DOALL-legal.
+//! Together, 2 and 3 make a level DOALL-legal. Both analyses, and
+//! lc-lint's subscript check, read the IR through one walker ([`walk`]).
 
 pub mod affine;
 pub mod depend;
 pub mod nest;
 pub mod scalars;
+pub mod walk;
 
 pub use affine::Affine;
 pub use depend::{analyze_nest, DepKind, Dependence, Dir, NestDeps};

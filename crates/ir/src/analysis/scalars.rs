@@ -1,5 +1,6 @@
 //! Scalar flow: which scalars one iteration of a nest level can receive
-//! from another, and the symbol walkers the lints and transforms share.
+//! from another, the symbol sets the lints and transforms share, and
+//! straight-line constants.
 //!
 //! A level is DOALL-legal only if its iterations communicate through no
 //! array element ([`super::depend`]) and through no scalar. The scalar
@@ -9,13 +10,21 @@
 //! scalars that break this rule at one level. `lc-lint`'s LC005 and the
 //! coalescing legality check in `lc-xform` both ask it.
 //!
-//! [`visit_symbols`] is the one statement walker behind the symbol sets
-//! ([`assigned_scalars`], [`read_vars`], [`mentioned`]).
+//! [`visit_symbols`] reports the mentions of the one IR walker
+//! ([`super::walk`]); the symbol sets ([`assigned_scalars`],
+//! [`read_vars`], [`mentioned`]) are built on it.
+//!
+//! [`ConstEnv`] is the straight-line constant propagation LC002 and the
+//! driver's analyze stage share: [`absorb_stmt`] folds one statement into
+//! it and [`const_value`] folds an expression under it, with the
+//! interpreter's arithmetic ([`crate::arith::eval_binop`]).
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::analysis::nest::Nest;
-use crate::expr::Expr;
+use crate::analysis::walk::{Mention, Visit, Walker};
+use crate::arith::eval_binop;
+use crate::expr::{Expr, UnOp};
 use crate::stmt::Stmt;
 use crate::symbol::Symbol;
 
@@ -63,22 +72,21 @@ impl Scan {
     /// Record the carried reads of `e`; `target` is the scalar the
     /// enclosing assignment writes, if any.
     fn read(&mut self, e: &Expr, defined: &BTreeSet<Symbol>, target: Option<&Symbol>) {
-        let mut vars = Vec::new();
-        e.variables(&mut vars);
-        self.hit_all(vars, defined, target);
+        Walker::default().expr(e, &mut |v| self.hit(v, defined, target));
     }
 
-    fn hit_all(&mut self, vars: Vec<Symbol>, defined: &BTreeSet<Symbol>, target: Option<&Symbol>) {
-        for var in vars {
-            if self.written.contains(&var)
-                && !defined.contains(&var)
-                && !self.hits.iter().any(|h| h.var == var)
-            {
-                self.hits.push(CarriedScalar {
-                    reduction: target == Some(&var),
-                    var,
-                });
-            }
+    fn hit(&mut self, v: Visit<'_>, defined: &BTreeSet<Symbol>, target: Option<&Symbol>) {
+        let Visit::Mention(var, Mention::Read { .. }) = v else {
+            return;
+        };
+        if self.written.contains(var)
+            && !defined.contains(var)
+            && !self.hits.iter().any(|h| h.var == *var)
+        {
+            self.hits.push(CarriedScalar {
+                var: var.clone(),
+                reduction: target == Some(var),
+            });
         }
     }
 
@@ -108,9 +116,7 @@ impl Scan {
                     then_body,
                     else_body,
                 } => {
-                    let mut vars = Vec::new();
-                    cond.variables(&mut vars);
-                    self.hit_all(vars, defined, None);
+                    Walker::default().cond(cond, &mut |v| self.hit(v, defined, None));
                     let mut t = defined.clone();
                     self.stmts(then_body, &mut t);
                     let mut e = defined.clone();
@@ -122,84 +128,15 @@ impl Scan {
     }
 }
 
-/// How a statement list mentions a name (see [`visit_symbols`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mention {
-    /// Read in a value, subscript, condition or loop bound. `shadowed`
-    /// when a loop inside the list that encloses the read binds the name,
-    /// so the read sees that loop's index rather than an outer scalar.
-    Read {
-        /// A loop inside the list binds the name here.
-        shadowed: bool,
-    },
-    /// Assigned as a scalar.
-    Assign {
-        /// A `doall` inside the list encloses the assignment.
-        under_doall: bool,
-    },
-    /// Bound as the index of a loop inside the list.
-    Index,
-    /// Written as an array: the target of an element store.
-    Store,
-}
-
 /// Call `f` on every name `stmts` mentions, at any depth and on every
-/// branch. Names of arrays that are only read are not reported.
+/// branch: the [`Walker`]'s mentions. Names of arrays that are only read
+/// are not reported.
 pub fn visit_symbols(stmts: &[Stmt], f: &mut impl FnMut(&Symbol, Mention)) {
-    walk(stmts, false, &mut Vec::new(), f);
-}
-
-fn walk(
-    stmts: &[Stmt],
-    under_doall: bool,
-    bound: &mut Vec<Symbol>,
-    f: &mut impl FnMut(&Symbol, Mention),
-) {
-    for s in stmts {
-        let mut vars = Vec::new();
-        match s {
-            Stmt::AssignScalar { var, value } => {
-                value.variables(&mut vars);
-                reads(vars, bound, f);
-                f(var, Mention::Assign { under_doall });
-            }
-            Stmt::AssignArray { target, value } => {
-                f(&target.array, Mention::Store);
-                for ix in &target.indices {
-                    ix.variables(&mut vars);
-                }
-                value.variables(&mut vars);
-                reads(vars, bound, f);
-            }
-            Stmt::Loop(l) => {
-                f(&l.var, Mention::Index);
-                for e in [&l.lower, &l.upper, &l.step] {
-                    e.variables(&mut vars);
-                }
-                reads(vars, bound, f);
-                bound.push(l.var.clone());
-                walk(&l.body, under_doall || l.kind.is_doall(), bound, f);
-                bound.pop();
-            }
-            Stmt::If {
-                cond,
-                then_body,
-                else_body,
-            } => {
-                cond.variables(&mut vars);
-                reads(vars, bound, f);
-                walk(then_body, under_doall, bound, f);
-                walk(else_body, under_doall, bound, f);
-            }
+    Walker::default().stmts(stmts, &mut |v| {
+        if let Visit::Mention(name, m) = v {
+            f(name, m);
         }
-    }
-}
-
-fn reads(vars: Vec<Symbol>, bound: &[Symbol], f: &mut impl FnMut(&Symbol, Mention)) {
-    for v in vars {
-        let shadowed = bound.contains(&v);
-        f(&v, Mention::Read { shadowed });
-    }
+    });
 }
 
 /// Scalars assigned anywhere in `stmts`. With `doall_only`, only those
@@ -239,6 +176,46 @@ pub fn mentioned(stmts: &[Stmt]) -> BTreeSet<Symbol> {
         out.insert(v.clone());
     });
     out
+}
+
+/// Scalars known to hold a constant, from straight-line top-level
+/// assignments.
+pub type ConstEnv = BTreeMap<Symbol, i64>;
+
+/// Fold `e` to a constant under `env`; `None` when some operand is
+/// unknown or the interpreter would trap.
+pub fn const_value(e: &Expr, env: &ConstEnv) -> Option<i64> {
+    match e {
+        Expr::Const(v) => Some(*v),
+        Expr::Var(s) => env.get(s).copied(),
+        Expr::Read(_) => None,
+        Expr::Unary(UnOp::Neg, a) => const_value(a, env)?.checked_neg(),
+        Expr::Binary(op, a, b) => eval_binop(*op, const_value(a, env)?, const_value(b, env)?),
+    }
+}
+
+/// Fold one statement into a running constant environment: a
+/// straight-line scalar assignment updates (or invalidates) its
+/// variable; compound statements (loops, `if`s) invalidate every scalar
+/// they *might* assign, since those assignments are not definite
+/// straight-line facts.
+pub fn absorb_stmt(env: &mut ConstEnv, s: &Stmt) {
+    match s {
+        Stmt::AssignScalar { var, value } => match const_value(value, env) {
+            Some(v) => {
+                env.insert(var.clone(), v);
+            }
+            None => {
+                env.remove(var);
+            }
+        },
+        Stmt::AssignArray { .. } => {}
+        Stmt::Loop(_) | Stmt::If { .. } => {
+            for var in assigned_scalars(std::slice::from_ref(s), false) {
+                env.remove(&var);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -300,6 +277,21 @@ mod tests {
         assert_eq!(carried(src, 0), vec![("t".to_string(), false)]);
         // Level 1's own header runs once per iteration of level 0.
         assert!(carried(src, 1).is_empty());
+    }
+
+    #[test]
+    fn constants_fold_with_floor_division_until_a_loop_may_reassign() {
+        let p = parse_program(
+            "array A[2]; n = (0 - 7) / 2; m = n % 3; r = A[1]; k = 5; for i = 1..2 { k = i; } j = m;",
+        )
+        .unwrap();
+        let mut env = ConstEnv::new();
+        for s in &p.body {
+            absorb_stmt(&mut env, s);
+        }
+        let get = |name: &str| env.get(&Symbol::new(name)).copied();
+        assert_eq!((get("n"), get("m"), get("j")), (Some(-4), Some(2), Some(2)));
+        assert_eq!((get("r"), get("k")), (None, None));
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! down in exactly one place.
 
 use crate::error::{Error, Result};
+use crate::expr::BinOp;
 
 /// Floor division: largest `q` with `q * b <= a`. Errors on `b == 0`, and
 /// with [`Error::Overflow`] on `i64::MIN / -1`, whose quotient `2^63` has no
@@ -72,6 +73,22 @@ pub fn floor_mod(a: i64, b: i64) -> Result<i64> {
     } else {
         r
     })
+}
+
+/// `a op b` with the interpreter's semantics, or `None` where the
+/// interpreter would trap (overflow, division by zero). Every constant
+/// folder goes through it.
+pub fn eval_binop(op: BinOp, a: i64, b: i64) -> Option<i64> {
+    match op {
+        BinOp::Add => a.checked_add(b),
+        BinOp::Sub => a.checked_sub(b),
+        BinOp::Mul => a.checked_mul(b),
+        BinOp::Div => floor_div(a, b).ok(),
+        BinOp::Mod => floor_mod(a, b).ok(),
+        BinOp::CeilDiv => ceil_div(a, b).ok(),
+        BinOp::Min => Some(a.min(b)),
+        BinOp::Max => Some(a.max(b)),
+    }
 }
 
 /// Greatest common divisor (non-negative; `gcd(0, 0) == 0`).

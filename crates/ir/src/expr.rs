@@ -222,17 +222,7 @@ impl Expr {
                 let a = a.fold();
                 let b = b.fold();
                 if let (Some(x), Some(y)) = (a.as_const(), b.as_const()) {
-                    let v = match op {
-                        BinOp::Add => x.checked_add(y),
-                        BinOp::Sub => x.checked_sub(y),
-                        BinOp::Mul => x.checked_mul(y),
-                        BinOp::Div => arith::floor_div(x, y).ok(),
-                        BinOp::Mod => arith::floor_mod(x, y).ok(),
-                        BinOp::CeilDiv => arith::ceil_div(x, y).ok(),
-                        BinOp::Min => Some(x.min(y)),
-                        BinOp::Max => Some(x.max(y)),
-                    };
-                    if let Some(v) = v {
+                    if let Some(v) = arith::eval_binop(*op, x, y) {
                         return Expr::Const(v);
                     }
                 }
@@ -370,21 +360,6 @@ impl Cond {
             ),
         }
     }
-
-    /// Collect every variable mentioned in the condition.
-    pub fn variables(&self, out: &mut Vec<Symbol>) {
-        match self {
-            Cond::Cmp(_, a, b) => {
-                a.variables(out);
-                b.variables(out);
-            }
-            Cond::Not(c) => c.variables(out),
-            Cond::And(a, b) | Cond::Or(a, b) => {
-                a.variables(out);
-                b.variables(out);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -479,18 +454,16 @@ mod tests {
     }
 
     #[test]
-    fn cond_substitute_and_variables() {
-        let c = Cond::And(
-            Box::new(Cond::cmp(CmpOp::Lt, v("i"), v("n"))),
-            Box::new(Cond::Not(Box::new(Cond::cmp(
-                CmpOp::Eq,
-                v("i"),
-                Expr::lit(0),
-            )))),
+    fn cond_substitute_replaces_every_occurrence() {
+        let c = |i: Expr| {
+            Cond::And(
+                Box::new(Cond::cmp(CmpOp::Lt, i.clone(), v("n"))),
+                Box::new(Cond::Not(Box::new(Cond::cmp(CmpOp::Eq, i, Expr::lit(0))))),
+            )
+        };
+        assert_eq!(
+            c(v("i")).substitute(&Symbol::new("i"), &Expr::lit(5)),
+            c(Expr::lit(5))
         );
-        let c2 = c.substitute(&Symbol::new("i"), &Expr::lit(5));
-        let mut vars = Vec::new();
-        c2.variables(&mut vars);
-        assert_eq!(vars, vec![Symbol::new("n")]);
     }
 }

@@ -41,12 +41,15 @@ pub const MAX_NEST_DEPTH: usize = 200;
 
 /// Parse a complete program (declarations + statements).
 pub fn parse_program(src: &str) -> Result<Program> {
-    let tokens = lex(src)?;
-    let mut p = Parser {
-        tokens,
-        pos: 0,
-        depth: 0,
-    };
+    parse_program_with_loop_lines(src).map(|(prog, _)| prog)
+}
+
+/// Parse a complete program, also returning the 1-based source line of
+/// every loop keyword in textual order, which is the pre-order of the
+/// program's loops. The lines travel beside the [`Program`], not inside
+/// it, so program equality stays independent of layout.
+pub fn parse_program_with_loop_lines(src: &str) -> Result<(Program, Vec<usize>)> {
+    let mut p = Parser::new(src)?;
     let mut prog = Program::new();
     while !p.at_end() {
         if p.peek_is_kw("array") {
@@ -56,17 +59,12 @@ pub fn parse_program(src: &str) -> Result<Program> {
         }
     }
     prog.check()?;
-    Ok(prog)
+    Ok((prog, p.loop_lines))
 }
 
 /// Parse a single expression (handy in tests).
 pub fn parse_expr(src: &str) -> Result<Expr> {
-    let tokens = lex(src)?;
-    let mut p = Parser {
-        tokens,
-        pos: 0,
-        depth: 0,
-    };
+    let mut p = Parser::new(src)?;
     let e = p.expr()?;
     if !p.at_end() {
         return Err(p.err("trailing input after expression"));
@@ -133,14 +131,11 @@ fn lex(src: &str) -> Result<Vec<SpannedTok>> {
                 });
             }
             _ => {
-                let two = if i + 1 < bytes.len() {
-                    &src[i..i + 2]
-                } else {
-                    ""
-                };
+                // Match on bytes: `i + 2` may split a multi-byte character.
+                let two = bytes.get(i..i + 2).unwrap_or_default();
                 let punct2 = ["..", "==", "!=", "<=", ">=", "&&", "||"]
                     .iter()
-                    .find(|p| **p == two)
+                    .find(|p| p.as_bytes() == two)
                     .copied();
                 if let Some(p2) = punct2 {
                     out.push(SpannedTok {
@@ -165,10 +160,12 @@ fn lex(src: &str) -> Result<Vec<SpannedTok>> {
                             i += 1;
                         }
                         None => {
+                            // Name the character, not its first byte.
+                            let c = src.get(i..).and_then(|r| r.chars().next()).unwrap_or(c);
                             return Err(Error::Parse {
                                 line,
                                 message: format!("unexpected character `{c}`"),
-                            })
+                            });
                         }
                     }
                 }
@@ -182,9 +179,20 @@ struct Parser {
     tokens: Vec<SpannedTok>,
     pos: usize,
     depth: usize,
+    /// Line of each loop keyword parsed so far, in textual order.
+    loop_lines: Vec<usize>,
 }
 
 impl Parser {
+    fn new(src: &str) -> Result<Parser> {
+        Ok(Parser {
+            tokens: lex(src)?,
+            pos: 0,
+            depth: 0,
+            loop_lines: Vec::new(),
+        })
+    }
+
     fn at_end(&self) -> bool {
         self.pos >= self.tokens.len()
     }
@@ -308,6 +316,7 @@ impl Parser {
     }
 
     fn loop_stmt(&mut self) -> Result<Stmt> {
+        self.loop_lines.push(self.line());
         let kw = self.expect_ident()?;
         let kind = match kw.as_str() {
             "for" => LoopKind::Serial,
@@ -692,6 +701,31 @@ mod tests {
             Error::Parse { line, .. } => assert_eq!(line, 2),
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn multibyte_characters_are_parse_errors_naming_the_character() {
+        for (src, ch) in [
+            ("€", '€'),
+            ("x = 1; €", '€'),
+            ("x =€", '€'),
+            ("x = 1;\né", 'é'),
+        ] {
+            match parse_program(src) {
+                Err(Error::Parse { message, .. }) => {
+                    assert_eq!(message, format!("unexpected character `{ch}`"), "{src:?}")
+                }
+                other => panic!("{src:?}: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn loop_lines_are_recorded_in_textual_order() {
+        let src = "array doall[2];\narray A[2];\nfor for = 1..2 {\n  doall j = 1..2 { A[j] = doall[1] + for; }\n}\nif 1 == 1 {\n  for k = 1..2 { }\n}";
+        let (prog, lines) = parse_program_with_loop_lines(src).unwrap();
+        assert_eq!(lines, vec![3, 4, 7]);
+        assert_eq!(prog, parse_program(src).unwrap());
     }
 
     #[test]

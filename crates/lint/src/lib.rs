@@ -5,11 +5,15 @@
 //! nest is parallel and the pipeline historically trusted the `doall`
 //! keyword the same way, checking correctness only dynamically. This
 //! crate supplies the missing static layer: a registry of IR-level
-//! checks built on the GCD + Banerjee dependence tester
-//! ([`lc_ir::analysis::depend`]) and the scalar-flow analysis
-//! ([`lc_ir::analysis::scalars`]) that emit typed, machine-readable
-//! [`Finding`]s with stable codes, severities, and (when linting source
-//! text) line numbers.
+//! checks that emit typed, machine-readable [`Finding`]s with stable
+//! codes, severities, and (when linting source text) line numbers.
+//!
+//! It is a thin client of `lc-ir`, which owns every analysis it reports:
+//! the GCD + Banerjee dependence tester ([`lc_ir::analysis::depend`]),
+//! scalar flow and constant propagation ([`lc_ir::analysis::scalars`]),
+//! the one IR walker ([`lc_ir::analysis::walk`]) and the loop-header
+//! lines the parser records
+//! ([`lc_ir::parser::parse_program_with_loop_lines`]).
 //!
 //! # Lint codes
 //!
@@ -38,15 +42,23 @@
 
 pub mod render;
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 
 use lc_ir::analysis::affine::Affine;
 use lc_ir::analysis::depend::{analyze_nest, format_direction, NestDeps};
 use lc_ir::analysis::nest::{extract_nest, LoopHeader, Nest};
-use lc_ir::analysis::scalars::{assigned_scalars, carried_scalars, read_vars, CarriedScalar};
+use lc_ir::analysis::scalars::{
+    assigned_scalars, carried_scalars, const_value, read_vars, CarriedScalar,
+};
+use lc_ir::analysis::walk::{Visit, Walker};
 use lc_ir::printer::print_expr;
-use lc_ir::{Cond, Expr, Loop, Program, Stmt, Symbol};
+use lc_ir::{Loop, Program, Stmt, Symbol};
+
+/// The constant environment LC002 resolves *bounded-symbolic* trip
+/// counts under (`n = 4000000000; … 1..n`), and the statement folder the
+/// driver builds it with. Both live in [`lc_ir::analysis::scalars`].
+pub use lc_ir::analysis::scalars::{absorb_stmt, ConstEnv};
 
 /// Stable identifier of one check in the registry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -231,11 +243,6 @@ impl LintSet {
         self.levels.contains(&Severity::Deny)
     }
 }
-
-/// Constant-propagation environment mapping scalars to known values
-/// (built from straight-line top-level assignments). LC002 uses it to
-/// resolve *bounded-symbolic* trip counts like `n = 4000000000; … 1..n`.
-pub type ConstEnv = BTreeMap<Symbol, i64>;
 
 /// One diagnostic produced by a lint.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -482,9 +489,16 @@ impl<'a> NestLinter<'a> {
     fn lc003(&mut self, severity: Severity) -> Vec<Finding> {
         let mut out = Vec::new();
         let nest_index = self.nest_index;
-        let mut counter = self.root_ordinal;
-        walk_refs(&self.root, &mut counter, &mut |ordinal, array, dim, ix| {
-            if Affine::from_expr(ix).is_none() {
+        // The walker numbers loops in the pre-order `collect_subnests`
+        // does, from 0 at the root.
+        let root_ordinal = self.root_ordinal;
+        Walker::default().walk_loop(&self.root, &mut |v| {
+            let Visit::Access(a) = v else { return };
+            for (dim, ix) in a.indices.iter().enumerate() {
+                if Affine::from_expr(ix).is_some() {
+                    continue;
+                }
+                let array = a.array;
                 out.push(Finding {
                     code: LintCode::NonAffineSubscript,
                     severity,
@@ -502,7 +516,7 @@ impl<'a> NestLinter<'a> {
                         detail("dim", dim.to_string()),
                         detail("subscript", print_expr(ix)),
                     ],
-                    ordinal: Some(ordinal),
+                    ordinal: Some(root_ordinal + a.ordinal),
                 });
             }
         });
@@ -649,108 +663,9 @@ fn subnests_in_stmts(stmts: &[Stmt], counter: &mut usize, out: &mut Vec<SubNest>
     }
 }
 
-/// Walk every array reference (reads and the write target) under `l` in
-/// pre-order, reporting `(innermost loop ordinal, array, dim, subscript)`
-/// per subscript expression. The ordinal numbering matches
-/// [`collect_subnests`], so findings point at the right header.
-fn walk_refs(l: &Loop, counter: &mut usize, f: &mut impl FnMut(usize, &Symbol, usize, &Expr)) {
-    let ordinal = *counter;
-    *counter += 1;
-    expr_refs(&l.lower, ordinal, f);
-    expr_refs(&l.upper, ordinal, f);
-    expr_refs(&l.step, ordinal, f);
-    stmt_refs(&l.body, ordinal, counter, f);
-}
-
-fn stmt_refs(
-    stmts: &[Stmt],
-    ordinal: usize,
-    counter: &mut usize,
-    f: &mut impl FnMut(usize, &Symbol, usize, &Expr),
-) {
-    for s in stmts {
-        match s {
-            Stmt::AssignScalar { value, .. } => expr_refs(value, ordinal, f),
-            Stmt::AssignArray { target, value } => {
-                for (dim, ix) in target.indices.iter().enumerate() {
-                    f(ordinal, &target.array, dim, ix);
-                    expr_refs(ix, ordinal, f);
-                }
-                expr_refs(value, ordinal, f);
-            }
-            Stmt::Loop(l) => walk_refs(l, counter, f),
-            Stmt::If {
-                cond,
-                then_body,
-                else_body,
-            } => {
-                cond_refs(cond, ordinal, f);
-                stmt_refs(then_body, ordinal, counter, f);
-                stmt_refs(else_body, ordinal, counter, f);
-            }
-        }
-    }
-}
-
-fn expr_refs(e: &Expr, ordinal: usize, f: &mut impl FnMut(usize, &Symbol, usize, &Expr)) {
-    match e {
-        Expr::Const(_) | Expr::Var(_) => {}
-        Expr::Read(r) => {
-            for (dim, ix) in r.indices.iter().enumerate() {
-                f(ordinal, &r.array, dim, ix);
-                expr_refs(ix, ordinal, f);
-            }
-        }
-        Expr::Unary(_, a) => expr_refs(a, ordinal, f),
-        Expr::Binary(_, a, b) => {
-            expr_refs(a, ordinal, f);
-            expr_refs(b, ordinal, f);
-        }
-    }
-}
-
-fn cond_refs(c: &Cond, ordinal: usize, f: &mut impl FnMut(usize, &Symbol, usize, &Expr)) {
-    match c {
-        Cond::Cmp(_, a, b) => {
-            expr_refs(a, ordinal, f);
-            expr_refs(b, ordinal, f);
-        }
-        Cond::Not(x) => cond_refs(x, ordinal, f),
-        Cond::And(a, b) | Cond::Or(a, b) => {
-            cond_refs(a, ordinal, f);
-            cond_refs(b, ordinal, f);
-        }
-    }
-}
-
-/// Fold an expression to a constant under `env`. Division and modulus
-/// are deliberately not folded (their rounding conventions belong to the
-/// interpreter); `None` means "unknown", which LC002 treats as 1 so only
-/// provable overflows fire.
-fn eval_const(e: &Expr, env: &ConstEnv) -> Option<i64> {
-    use lc_ir::{BinOp, UnOp};
-    match e {
-        Expr::Const(v) => Some(*v),
-        Expr::Var(s) => env.get(s).copied(),
-        Expr::Read(_) => None,
-        Expr::Unary(UnOp::Neg, a) => eval_const(a, env)?.checked_neg(),
-        Expr::Binary(op, a, b) => {
-            let (a, b) = (eval_const(a, env)?, eval_const(b, env)?);
-            match op {
-                BinOp::Add => a.checked_add(b),
-                BinOp::Sub => a.checked_sub(b),
-                BinOp::Mul => a.checked_mul(b),
-                BinOp::Min => Some(a.min(b)),
-                BinOp::Max => Some(a.max(b)),
-                BinOp::Div | BinOp::Mod | BinOp::CeilDiv => None,
-            }
-        }
-    }
-}
-
 /// Trip count of a header whose bounds fold to constants under `env`.
 fn folded_trip_count(h: &LoopHeader, env: &ConstEnv) -> Option<u128> {
-    let [lo, hi, step] = [&h.lower, &h.upper, &h.step].map(|e| eval_const(e, env));
+    let [lo, hi, step] = [&h.lower, &h.upper, &h.step].map(|e| const_value(e, env));
     lc_ir::arith::trip_count(lo?, hi?, step?)
 }
 
@@ -768,32 +683,6 @@ pub fn lint_program(prog: &Program, set: &LintSet) -> Vec<Finding> {
     let mut counter = 0usize;
     lint_stmt_list(&prog.body, set, &mut env, &mut counter, None, &mut out);
     out
-}
-
-/// Fold one statement into a running constant environment: a
-/// straight-line scalar assignment updates (or invalidates) its
-/// variable; compound statements (loops, `if`s) invalidate every scalar
-/// they *might* assign, since those assignments are not definite
-/// straight-line facts. The driver's `analyze` stage uses this to build
-/// the [`ConstEnv`] a nest is linted under from the statements that
-/// precede it.
-pub fn absorb_stmt(env: &mut ConstEnv, s: &Stmt) {
-    match s {
-        Stmt::AssignScalar { var, value } => match eval_const(value, env) {
-            Some(v) => {
-                env.insert(var.clone(), v);
-            }
-            None => {
-                env.remove(var);
-            }
-        },
-        Stmt::AssignArray { .. } => {}
-        Stmt::Loop(_) | Stmt::If { .. } => {
-            for var in assigned_scalars(std::slice::from_ref(s), false) {
-                env.remove(&var);
-            }
-        }
-    }
 }
 
 fn lint_stmt_list(
@@ -833,50 +722,17 @@ fn lint_stmt_list(
     }
 }
 
-/// Parse `src` and lint it, attaching 1-based source lines to findings
-/// by matching loop-header keywords in textual (= pre-order) order.
+/// Parse `src` and lint it, attaching to each finding the 1-based source
+/// line of its loop header, as the parser recorded it.
 pub fn lint_source(src: &str, set: &LintSet) -> lc_ir::Result<Vec<Finding>> {
-    let prog = lc_ir::parser::parse_program(src)?;
+    let (prog, lines) = lc_ir::parser::parse_program_with_loop_lines(src)?;
     let mut findings = lint_program(&prog, set);
-    let lines = loop_header_lines(src);
     for f in &mut findings {
         if let Some(o) = f.ordinal {
             f.line = lines.get(o).copied();
         }
     }
     Ok(findings)
-}
-
-/// 1-based line of every loop-header keyword (`for` / `doall` /
-/// `doacross`), in textual order. `//` comments are ignored.
-fn loop_header_lines(src: &str) -> Vec<usize> {
-    let mut out = Vec::new();
-    for (ln, raw) in src.lines().enumerate() {
-        let line = raw.split("//").next().unwrap_or(raw);
-        let mut i = 0;
-        while i < line.len() {
-            let rest = &line[i..];
-            let Some(kw) = ["doacross", "doall", "for"]
-                .into_iter()
-                .find(|kw| rest.starts_with(kw))
-            else {
-                i += rest.chars().next().map(char::len_utf8).unwrap_or(1);
-                continue;
-            };
-            let boundary = |c: char| !c.is_alphanumeric() && c != '_';
-            let before_ok = line[..i].chars().next_back().map(boundary).unwrap_or(true);
-            let after_ok = rest[kw.len()..]
-                .chars()
-                .next()
-                .map(boundary)
-                .unwrap_or(true);
-            if before_ok && after_ok {
-                out.push(ln + 1);
-            }
-            i += kw.len();
-        }
-    }
-    out
 }
 
 /// Fuzzing contract: when this returns `true`, interpreting the program
@@ -1027,6 +883,41 @@ mod tests {
     }
 
     #[test]
+    fn lc001_fires_on_a_race_through_an_inner_bound() {
+        // The bound of `j` reads A[i + 1], which iteration i + 1 writes.
+        let src = "
+            array A[6];
+            for k = 1..6 { A[k] = k % 3 + 1; }
+            doall i = 1..4 {
+                for j = 1..A[i + 1] {
+                    A[i] = j;
+                }
+            }
+            ";
+        let f = lint(src);
+        let hit = f
+            .iter()
+            .find(|x| x.code == LintCode::DoallRace)
+            .expect("LC001 must see the read in the inner bound");
+        assert_eq!((hit.nest, hit.level), (1, Some(0)));
+        assert_eq!(hit.detail("kind"), Some("anti"));
+        let p = parse_program(src).unwrap();
+        assert!(!certifies_order_independent(&p));
+        let run = |order| {
+            lc_ir::interp::Interp::new()
+                .with_order(order)
+                .run(&p)
+                .unwrap()
+                .digest()
+        };
+        assert_ne!(
+            run(lc_ir::interp::DoallOrder::Forward),
+            run(lc_ir::interp::DoallOrder::Reverse),
+            "the witness must really be order-dependent"
+        );
+    }
+
+    #[test]
     fn lc001_negative_clean_doall_is_silent() {
         let f = lint(
             "
@@ -1125,6 +1016,26 @@ mod tests {
     }
 
     #[test]
+    fn lc002_folds_division_like_the_interpreter() {
+        let f = lint(
+            "
+            array A[4];
+            n = 8000000000 / 2;
+            doall i = 1..n {
+                doall j = 1..n {
+                    A[1] = 0;
+                }
+            }
+            ",
+        );
+        let hit = f
+            .iter()
+            .find(|x| x.code == LintCode::TripOverflow)
+            .expect("n folds to 4e9, and 16e18 iterations exceed i64::MAX");
+        assert_eq!(hit.detail("trips"), Some("4000000000,4000000000"));
+    }
+
+    #[test]
     fn lc002_negative_small_and_unknown_trips() {
         let f = lint(
             "
@@ -1158,6 +1069,17 @@ mod tests {
             .expect("i * i is not affine");
         assert_eq!(hit.detail("subscript"), Some("i * i"));
         assert_eq!(hit.detail("array"), Some("A"));
+    }
+
+    #[test]
+    fn lc003_lines_point_at_the_innermost_loop() {
+        let src = "array A[100];\nfor t = 1..2 {\n    A[t] = t;\n}\nfor t = 1..2 {\n    for i = 1..8 {\n        A[i * i] = i;\n    }\n}\n";
+        let f = lint_source(src, &LintSet::default()).unwrap();
+        let hit = f
+            .iter()
+            .find(|x| x.code == LintCode::NonAffineSubscript)
+            .unwrap();
+        assert_eq!((hit.nest, hit.line), (1, Some(6)));
     }
 
     #[test]
@@ -1347,6 +1269,24 @@ mod tests {
         let hit = f.iter().find(|x| x.code == LintCode::DoallRace).unwrap();
         // The carried level is `j`, declared on line 4.
         assert_eq!(hit.line, Some(4));
+    }
+
+    #[test]
+    fn lint_source_lines_skip_an_array_named_doall() {
+        let src =
+            "array doall[2];\narray A[8];\ndoall i = 2..8 {\n    A[i] = A[i - 1] + doall[1];\n}\n";
+        let f = lint_source(src, &LintSet::default()).unwrap();
+        let hit = f.iter().find(|x| x.code == LintCode::DoallRace).unwrap();
+        assert_eq!(hit.line, Some(3));
+    }
+
+    #[test]
+    fn lint_source_lines_skip_a_loop_variable_named_for() {
+        let src = "array A[8][8];\ndoall for = 1..8 {\n    doall j = 2..8 {\n        A[for][j] = A[for][j - 1];\n    }\n}\n";
+        let f = lint_source(src, &LintSet::default()).unwrap();
+        let hit = f.iter().find(|x| x.code == LintCode::DoallRace).unwrap();
+        // The carried level is `j`, declared on line 3.
+        assert_eq!((hit.level, hit.line), (Some(1), Some(3)));
     }
 
     #[test]

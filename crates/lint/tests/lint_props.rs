@@ -13,7 +13,8 @@ use lc_ir::{ArrayRef, Expr, Loop, LoopKind, Program, Stmt, Symbol};
 use lc_lint::certifies_order_independent;
 
 /// How the nest uses an optional scalar `t`, assigned `dims[last]`
-/// before the nest.
+/// before the nest, or (`ArrayBound`) an array read in its innermost
+/// bound.
 #[derive(Debug, Clone, Copy)]
 enum ScalarUse {
     /// No scalar.
@@ -26,13 +27,21 @@ enum ScalarUse {
     /// `t = dims[last] + 1`: carried through the bound (rank ≥ 2). A
     /// serial level keeps the escape rule out of it: only LC005 sees it.
     InnerBound,
+    /// No scalar; the innermost level is a serial
+    /// `for … = 1..min(A[…] + d, d + 1)`, `d = dims[last]`, whose bound
+    /// reads the cell the body writes at that level's first trip, one
+    /// outer iteration shifted by the read offsets (rank ≥ 2). Once
+    /// written, the cell is at least 1, so the trip count depends on
+    /// whether that outer iteration ran first: only LC001 sees it.
+    ArrayBound,
 }
 
 /// A random rank-1..4 `doall` nest writing
 /// `A[i_k + w_k] = (A|B)[i_k + r_k] + 1`, with optional transposition of
 /// the innermost two read subscripts — the same access shapes the
 /// dependence-analyzer soundness suite uses, rich enough to produce
-/// both racy and clean nests — and an optional scalar.
+/// both racy and clean nests — and an optional scalar or array-read
+/// inner bound.
 #[derive(Debug, Clone)]
 struct Spec {
     dims: Vec<u64>,
@@ -52,7 +61,7 @@ fn spec() -> impl Strategy<Value = Spec> {
                 proptest::collection::vec(-2i64..=2, rank),
                 proptest::bool::ANY,
                 proptest::bool::ANY,
-                0u8..4,
+                0u8..5,
             )
         })
         .prop_map(
@@ -67,6 +76,7 @@ fn spec() -> impl Strategy<Value = Spec> {
                     ScalarUse::WrittenThenRead,
                     ScalarUse::ReadBeforeWrite,
                     ScalarUse::InnerBound,
+                    ScalarUse::ArrayBound,
                 ][scalar as usize],
             },
         )
@@ -113,17 +123,24 @@ fn build(s: &Spec) -> Program {
         value,
     }];
     match s.scalar {
-        ScalarUse::None => {}
+        ScalarUse::None | ScalarUse::ArrayBound => {}
         ScalarUse::WrittenThenRead => stmts.insert(0, set_t(Expr::Var(vars[0].clone()))),
         ScalarUse::ReadBeforeWrite => stmts.push(set_t(Expr::Var(vars[0].clone()))),
         ScalarUse::InnerBound => stmts.push(set_t(Expr::lit(inner_dim + 1))),
     }
-    let inner_bound = matches!(s.scalar, ScalarUse::InnerBound) && rank >= 2;
+    let inner_upper = match s.scalar {
+        ScalarUse::InnerBound if rank >= 2 => Some(Expr::Var(t.clone())),
+        ScalarUse::ArrayBound if rank >= 2 => {
+            let mut cell = sub(&s.read_off, false);
+            cell[rank - 1] = Expr::lit(s.write_off[rank - 1] + 4);
+            Some((Expr::read("A", cell) + Expr::lit(inner_dim)).min(Expr::lit(inner_dim + 1)))
+        }
+        _ => None,
+    };
     for k in (0..rank).rev() {
-        let (kind, upper) = if inner_bound && k == rank - 1 {
-            (LoopKind::Serial, Expr::Var(t.clone()))
-        } else {
-            (LoopKind::Doall, Expr::lit(s.dims[k] as i64))
+        let (kind, upper) = match &inner_upper {
+            Some(u) if k == rank - 1 => (LoopKind::Serial, u.clone()),
+            _ => (LoopKind::Doall, Expr::lit(s.dims[k] as i64)),
         };
         stmts = vec![Stmt::Loop(Loop::new(
             kind,
@@ -133,7 +150,7 @@ fn build(s: &Spec) -> Program {
             stmts,
         ))];
     }
-    if !matches!(s.scalar, ScalarUse::None) {
+    if !matches!(s.scalar, ScalarUse::None | ScalarUse::ArrayBound) {
         stmts.insert(0, set_t(Expr::lit(inner_dim)));
     }
     let mut p = Program::new().with_array("A", ext.clone());

@@ -271,6 +271,13 @@ fn malformed_requests_get_typed_statuses() {
         422
     );
 
+    // A multi-byte character is a parse error, on both endpoints.
+    for path in ["/compile", "/analyze"] {
+        let resp = client::post(addr, path, "x = 1; €".as_bytes(), TIMEOUT).unwrap();
+        assert_eq!(resp.status, 422, "{path}: {}", resp.body_text());
+        assert!(resp.body_text().contains('€'), "{}", resp.body_text());
+    }
+
     // Bad deadline header.
     let resp = client::request(
         addr,

@@ -61,7 +61,8 @@ use std::collections::HashSet;
 
 use lc_ir::analysis::depend::{analyze_nest, NestDeps};
 use lc_ir::analysis::nest::{extract_nest, LoopHeader, Nest};
-use lc_ir::analysis::scalars::{carried_scalars, mentioned, visit_symbols, Mention};
+use lc_ir::analysis::scalars::{carried_scalars, mentioned, visit_symbols};
+use lc_ir::analysis::walk::Mention;
 use lc_ir::build::ExprBuilder;
 use lc_ir::expr::Expr;
 use lc_ir::stmt::{Loop, LoopKind, Stmt};

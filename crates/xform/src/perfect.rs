@@ -34,7 +34,8 @@
 
 use lc_ir::analysis::depend::analyze_nest;
 use lc_ir::analysis::nest::extract_nest;
-use lc_ir::analysis::scalars::{visit_symbols, Mention};
+use lc_ir::analysis::scalars::visit_symbols;
+use lc_ir::analysis::walk::Mention;
 use lc_ir::expr::{CmpOp, Cond, Expr};
 use lc_ir::stmt::{Loop, Stmt};
 use lc_ir::{Error, Result, SkipReason};

@@ -48,7 +48,8 @@ fn corpus_findings_match_the_committed_baseline() {
 /// downward by a negative step; in iteration order the dependence is
 /// still carried forward. In the scalar fixture the bound of `for j` is
 /// read inside every iteration of `doall i`, after an earlier iteration
-/// may have run `t = 5`.
+/// may have run `t = 5`. In the array-bound fixture the bound of `for j`
+/// reads `A[i + 1]`, which iteration `i + 1` writes.
 #[test]
 fn racy_doall_fixture_trips_lc001() {
     for (name, code, key, value) in [
@@ -59,6 +60,7 @@ fn racy_doall_fixture_trips_lc001() {
             "direction",
             "(<)",
         ),
+        ("racy_array_bound.lc", LintCode::DoallRace, "kind", "anti"),
         (
             "racy_scalar_bound.lc",
             LintCode::ReductionInDoall,
