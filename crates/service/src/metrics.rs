@@ -1,5 +1,6 @@
-//! Service metrics: request/job counters, a busy-worker gauge, and a
-//! log-linear latency histogram with percentile estimation.
+//! Service metrics: request/job counters, a busy-worker gauge, and
+//! log-linear latency histograms (request latency, queue wait) with
+//! percentile estimation.
 //!
 //! Everything is lock-free atomics so the hot path never blocks, and
 //! `render` produces a Prometheus-style text exposition for `/metrics`
@@ -8,6 +9,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::cache::CacheCounters;
+use crate::conns::ConnCounters;
 
 /// Log-linear histogram: 4 linear sub-buckets per power of two, covering
 /// 1µs .. ~68s of latency. Good enough for p50/p95/p99 at ~19% error.
@@ -131,12 +133,44 @@ pub struct Metrics {
     pub workers_busy: AtomicU64,
     /// End-to-end request latency.
     pub latency: LatencyHistogram,
+    /// Per job, the time from `try_push` to a worker's `pop`.
+    pub queue_wait: LatencyHistogram,
 }
 
 fn add(out: &mut String, name: &str, help: &str, kind: &str, value: u64) {
     out.push_str(&format!(
         "# HELP {name} {help}\n# TYPE {name} {kind}\n{name} {value}\n"
     ));
+}
+
+/// A histogram as `{prefix}_count`, `{prefix}_sum_micros` and
+/// `{prefix}_p50|p95|p99_micros`, with the help texts of the count, the
+/// sum and the quantiles.
+fn add_histogram(out: &mut String, prefix: &str, help: [&str; 3], h: &LatencyHistogram) {
+    let [count_help, sum_help, quantile_help] = help;
+    add(
+        out,
+        &format!("{prefix}_count"),
+        count_help,
+        "counter",
+        h.count(),
+    );
+    add(
+        out,
+        &format!("{prefix}_sum_micros"),
+        sum_help,
+        "counter",
+        h.sum_micros(),
+    );
+    for (q, name) in [(50, "p50"), (95, "p95"), (99, "p99")] {
+        add(
+            out,
+            &format!("{prefix}_{name}_micros"),
+            quantile_help,
+            "gauge",
+            h.quantile_micros(q),
+        );
+    }
 }
 
 impl Metrics {
@@ -149,8 +183,15 @@ impl Metrics {
         };
     }
 
-    /// Prometheus text exposition, including the cache counters.
-    pub fn render(&self, cache: CacheCounters, queue_depth: usize, workers: usize) -> String {
+    /// Prometheus text exposition, including the cache and
+    /// connection-thread counters.
+    pub fn render(
+        &self,
+        cache: CacheCounters,
+        conns: ConnCounters,
+        queue_depth: usize,
+        workers: usize,
+    ) -> String {
         let mut out = String::new();
         let g = |a: &AtomicU64| a.load(Ordering::Relaxed);
         add(
@@ -309,27 +350,45 @@ impl Metrics {
         );
         add(
             &mut out,
-            "lc_request_latency_count",
-            "Requests measured by the latency histogram",
+            "lc_conn_threads_spawned_total",
+            "Connection threads spawned because none was parked",
             "counter",
-            self.latency.count(),
+            conns.spawned,
         );
         add(
             &mut out,
-            "lc_request_latency_sum_micros",
-            "Total measured latency in microseconds",
+            "lc_conn_threads_reused_total",
+            "Connections handed to a parked connection thread",
             "counter",
-            self.latency.sum_micros(),
+            conns.reused,
         );
-        for (q, name) in [(50, "p50"), (95, "p95"), (99, "p99")] {
-            add(
-                &mut out,
-                &format!("lc_request_latency_{name}_micros"),
+        add(
+            &mut out,
+            "lc_conn_threads_parked",
+            "Connection threads parked waiting for a connection",
+            "gauge",
+            conns.parked,
+        );
+        add_histogram(
+            &mut out,
+            "lc_request_latency",
+            [
+                "Requests measured by the latency histogram",
+                "Total measured latency in microseconds",
                 "Latency quantile estimate in microseconds",
-                "gauge",
-                self.latency.quantile_micros(q),
-            );
-        }
+            ],
+            &self.latency,
+        );
+        add_histogram(
+            &mut out,
+            "lc_queue_wait",
+            [
+                "Jobs measured by the queue-wait histogram (try_push to pop)",
+                "Total measured queue wait in microseconds",
+                "Queue-wait quantile estimate in microseconds",
+            ],
+            &self.queue_wait,
+        );
         out
     }
 }
@@ -394,7 +453,13 @@ mod tests {
             evictions: 1,
             entries: 3,
         };
-        let text = m.render(cache, 5, 2);
+        let conns = ConnCounters {
+            spawned: 2,
+            reused: 18,
+            parked: 1,
+        };
+        m.queue_wait.record_micros(400_000);
+        let text = m.render(cache, conns, 5, 2);
         assert_eq!(scrape_counter(&text, "lc_requests_total"), Some(7));
         assert_eq!(scrape_counter(&text, "lc_responses_2xx_total"), Some(1));
         assert_eq!(scrape_counter(&text, "lc_responses_4xx_total"), Some(1));
@@ -402,6 +467,17 @@ mod tests {
         assert_eq!(scrape_counter(&text, "lc_cache_hits_total"), Some(3));
         assert_eq!(scrape_counter(&text, "lc_queue_depth"), Some(5));
         assert_eq!(scrape_counter(&text, "lc_workers_total"), Some(2));
+        assert_eq!(
+            scrape_counter(&text, "lc_conn_threads_spawned_total"),
+            Some(2)
+        );
+        assert_eq!(
+            scrape_counter(&text, "lc_conn_threads_reused_total"),
+            Some(18)
+        );
+        assert_eq!(scrape_counter(&text, "lc_conn_threads_parked"), Some(1));
+        assert_eq!(scrape_counter(&text, "lc_queue_wait_count"), Some(1));
+        assert!(scrape_counter(&text, "lc_queue_wait_p99_micros").unwrap() >= 400_000);
         // Every metric line should be parseable Prometheus text.
         for line in text.lines() {
             assert!(

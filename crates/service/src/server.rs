@@ -2,22 +2,31 @@
 //! of compile workers behind a bounded queue.
 //!
 //! ```text
-//!             ┌────────────┐  try_push   ┌──────────────┐   pop
-//!  TCP ──────▶│ connection │────────────▶│ BoundedQueue │────────▶ workers
-//!             │  threads   │◀────────────│  (backpress) │          (N fixed)
-//!             └────────────┘  reply chan └──────────────┘
-//!                    │  ▲
-//!             cache get  cache insert (workers)
+//!                    ┌──────────────────┐  try_push   ┌──────────────┐   pop
+//!  TCP ── accept ───▶│ connection       │────────────▶│ BoundedQueue │────────▶ workers
+//!   hand off to a    │ threads (elastic;│◀────────────│  (backpress) │          (N fixed)
+//!   parked thread,   │ park after each  │  reply chan └──────────────┘
+//!   else spawn one   │ answer)          │
+//!                    └──────────────────┘
+//!                       │  ▲
+//!                cache get  cache insert (workers)
 //! ```
 //!
+//! * A connection thread serves one connection at a time and then parks
+//!   ([`crate::conns`]); the acceptor hands each new connection to a
+//!   parked thread, and spawns a thread only when none is parked. So no
+//!   connection waits behind another, and the per-request cost of thread
+//!   creation is paid only when the number of connections in flight
+//!   grows. At most `workers + queue_capacity` threads stay parked.
 //! * Cache hits are answered directly on the connection thread — they
-//!   never consume a queue slot or a worker.
+//!   never consume a queue slot or a worker. So is `/analyze`.
 //! * A full queue is answered `429` immediately (load shedding), a
 //!   closed queue `503` (draining).
 //! * Every job carries a deadline; a worker that pops an expired job
 //!   answers `503` without compiling it.
-//! * `POST /shutdown` closes the queue, stops the acceptor, and lets
-//!   in-flight work finish — [`Server::join`] returns once drained.
+//! * `POST /shutdown` closes the queue, stops the acceptor (which sends
+//!   every parked connection thread home), and lets in-flight work
+//!   finish — [`Server::join`] returns once drained.
 
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -32,6 +41,7 @@ use lc_driver::json::{Json, JsonWriter};
 use lc_driver::{BatchItem, Driver, DriverOptions, DriverOutput};
 
 use crate::cache::{fnv1a, ShardedLru};
+use crate::conns::ParkedThreads;
 use crate::http::{read_request, ReadError, Request, Response};
 use crate::metrics::Metrics;
 use crate::queue::{BoundedQueue, PushError};
@@ -86,6 +96,9 @@ struct Job {
     kind: JobKind,
     reply: SyncSender<Response>,
     deadline: Instant,
+    /// When the job was offered to the queue; a worker's `pop` records
+    /// the difference as the job's queue wait.
+    enqueued: Instant,
 }
 
 struct Shared {
@@ -94,6 +107,7 @@ struct Shared {
     fingerprint: String,
     cache: ShardedLru<Vec<u8>>,
     queue: BoundedQueue<Job>,
+    conns: ParkedThreads<TcpStream>,
     metrics: Metrics,
     draining: AtomicBool,
     active_conns: AtomicUsize,
@@ -118,6 +132,9 @@ impl Server {
         let shared = Arc::new(Shared {
             cache: ShardedLru::new(config.cache_capacity, config.cache_shards),
             queue: BoundedQueue::new(config.queue_capacity),
+            // As many connections as can be blocked on compile work at
+            // once without being shed: one per worker and queue slot.
+            conns: ParkedThreads::new(config.workers.max(1) + config.queue_capacity.max(1)),
             metrics: Metrics::default(),
             draining: AtomicBool::new(false),
             active_conns: AtomicUsize::new(0),
@@ -202,23 +219,40 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
         }
         let Ok(stream) = stream else { continue };
         shared.active_conns.fetch_add(1, Ordering::AcqRel);
-        let shared = Arc::clone(shared);
-        let _ = std::thread::Builder::new()
-            .name("lc-conn".to_string())
-            .spawn(move || {
-                handle_connection(stream, &shared);
-                shared.active_conns.fetch_sub(1, Ordering::AcqRel);
-            });
+        shared
+            .conns
+            .dispatch(stream, |stream| spawn_conn_thread(shared, stream));
+    }
+    shared.conns.close();
+}
+
+/// Start a connection thread for `first`: it serves one connection at a
+/// time and parks in between, until [`ParkedThreads::park`] says exit.
+fn spawn_conn_thread(shared: &Arc<Shared>, first: TcpStream) {
+    let own = Arc::clone(shared);
+    let serve = move || {
+        let mut next = Some(first);
+        while let Some(stream) = next {
+            handle_connection(&stream, &own);
+            // Close before parking: the client waits for EOF.
+            drop(stream);
+            own.active_conns.fetch_sub(1, Ordering::AcqRel);
+            next = own.conns.park();
+        }
+    };
+    let spawned = std::thread::Builder::new()
+        .name("lc-conn".to_string())
+        .spawn(serve);
+    if spawned.is_err() {
+        // The connection was dropped unanswered with the closure.
+        shared.active_conns.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
-fn handle_connection(stream: TcpStream, shared: &Shared) {
+fn handle_connection(mut stream: &TcpStream, shared: &Shared) {
     let _ = stream.set_read_timeout(Some(shared.config.read_timeout));
     let _ = stream.set_nodelay(true);
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    });
+    let mut reader = BufReader::new(stream);
     let started = Instant::now();
     let response = match read_request(&mut reader, shared.config.max_body_bytes) {
         Ok(req) => {
@@ -241,13 +275,11 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
         .metrics
         .latency
         .record_micros(started.elapsed().as_micros() as u64);
-    let mut stream = stream;
     let _ = response.write_to(&mut stream);
     // Drain whatever the client already sent (we may have answered
     // without reading the body, e.g. 413): closing with unread bytes in
     // the receive buffer would RST the response off the wire. Bounded by
     // the body cap and the socket read timeout.
-    let mut reader = reader;
     let _ = std::io::copy(
         &mut std::io::Read::take(&mut reader, shared.config.max_body_bytes as u64),
         &mut std::io::sink(),
@@ -270,6 +302,7 @@ fn route(shared: &Shared, req: Request) -> Response {
             200,
             shared.metrics.render(
                 shared.cache.counters(),
+                shared.conns.counters(),
                 shared.queue.len(),
                 shared.config.workers.max(1),
             ),
@@ -318,10 +351,12 @@ fn request_deadline(shared: &Shared, req: &Request) -> Result<Duration, Response
 /// and `/batch`.
 fn run_job(shared: &Shared, kind: JobKind, deadline: Duration) -> Response {
     let (reply, result) = sync_channel(1);
+    let enqueued = Instant::now();
     let job = Job {
         kind,
         reply,
-        deadline: Instant::now() + deadline,
+        deadline: enqueued + deadline,
+        enqueued,
     };
     match shared.queue.try_push(job) {
         Ok(()) => {
@@ -460,7 +495,12 @@ fn cache_key(fingerprint: &str, source: &str) -> u64 {
 
 fn worker_loop(shared: &Shared) {
     while let Some(job) = shared.queue.pop() {
-        if Instant::now() > job.deadline {
+        let popped = Instant::now();
+        shared
+            .metrics
+            .queue_wait
+            .record_micros(popped.duration_since(job.enqueued).as_micros() as u64);
+        if popped > job.deadline {
             shared.metrics.jobs_expired.fetch_add(1, Ordering::Relaxed);
             let _ = job.reply.send(Response::error(
                 503,
@@ -549,4 +589,59 @@ pub fn compile_envelope(out: &DriverOutput) -> Vec<u8> {
         o.key("trace").value(&out.trace);
     });
     w.into_bytes()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client;
+    use crate::metrics::scrape_counter;
+
+    const TIMEOUT: Duration = Duration::from_secs(30);
+
+    fn wait_until(what: &str, cond: impl Fn() -> bool) {
+        let give_up = Instant::now() + TIMEOUT;
+        while !cond() {
+            assert!(Instant::now() < give_up, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// Sequential connections are all served by the one thread spawned
+    /// for the first. The test waits for that thread to park before each
+    /// next request: a client that reconnects at once can beat the
+    /// previous thread to `park`, and then a second thread is spawned.
+    /// Once drained, every thread has exited and dropped its `Shared`.
+    #[test]
+    fn sequential_requests_reuse_one_parked_thread_until_drain() {
+        let server = Server::start(ServiceConfig::default(), "127.0.0.1:0").expect("bind loopback");
+        let shared = Arc::clone(&server.shared);
+        let addr = server.addr();
+        let program = b"array A[4][5];\ndoall i = 1..4 { doall j = 1..5 { A[i][j] = i + j; } }";
+        for k in 0..20 {
+            let resp = if k % 2 == 0 {
+                client::post(addr, "/compile", program, TIMEOUT)
+            } else {
+                client::get(addr, "/healthz", TIMEOUT)
+            };
+            assert_eq!(resp.expect("request").status, 200, "request {k}");
+            wait_until("the thread to park", || shared.conns.counters().parked == 1);
+        }
+        let text = client::get(addr, "/metrics", TIMEOUT)
+            .expect("GET /metrics")
+            .body_text();
+        assert_eq!(
+            scrape_counter(&text, "lc_conn_threads_spawned_total"),
+            Some(1)
+        );
+        assert_eq!(
+            scrape_counter(&text, "lc_conn_threads_reused_total"),
+            Some(20)
+        );
+        assert_eq!(scrape_counter(&text, "lc_conn_threads_parked"), Some(0));
+
+        server.shutdown();
+        wait_until("every thread to exit", || Arc::strong_count(&shared) == 1);
+        assert_eq!(shared.conns.counters().parked, 0);
+    }
 }

@@ -1,16 +1,19 @@
-//! End-to-end tests over a real loopback socket: every server behavior
-//! the issue's acceptance criteria name — cold-compile parity with the
-//! facade, cache hits observable in `/metrics`, 429 load shedding,
-//! deadline expiry, graceful drain — plus the load generator run
-//! in-process.
+//! End-to-end tests over a real loopback socket: cold-compile parity
+//! with the facade, cache hits observable in `/metrics`, 429 load
+//! shedding, deadline expiry, graceful drain, queue wait, and the
+//! connection-thread paths that must keep answering under compile
+//! saturation — plus the load generator run in-process.
 
-use std::time::Duration;
+use std::net::SocketAddr;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use lc_driver::json::Json;
 use lc_driver::trace::finding_to_json;
 use lc_driver::{Driver, DriverOptions};
-use lc_service::client;
+use lc_service::client::{self, ClientError};
 use lc_service::corpus::corpus72;
+use lc_service::http::Response;
 use lc_service::loadgen::{run as loadgen_run, LoadTarget, LoadgenConfig};
 use lc_service::metrics::scrape_counter;
 use lc_service::server::compile_envelope;
@@ -42,6 +45,40 @@ fn metrics_text(server: &Server) -> String {
     client::get(server.addr(), "/metrics", TIMEOUT)
         .expect("GET /metrics")
         .body_text()
+}
+
+/// Poll `/metrics` until exactly `n` jobs were enqueued and the queue
+/// holds `depth` of them (the rest were popped by a worker).
+fn wait_for_queue(server: &Server, n: u64, depth: u64) {
+    let give_up = Instant::now() + TIMEOUT;
+    loop {
+        let text = metrics_text(server);
+        if scrape_counter(&text, "lc_jobs_enqueued_total") == Some(n)
+            && scrape_counter(&text, "lc_queue_depth") == Some(depth)
+        {
+            return;
+        }
+        assert!(
+            Instant::now() < give_up,
+            "timed out waiting for {n} jobs, {depth} queued"
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+/// `PROGRAM` with a different constant: a distinct cache key.
+fn unique_program(k: usize) -> String {
+    PROGRAM.replace("i * j", &format!("i * j + {k}"))
+}
+
+/// `POST /compile` of `unique_program(k)` on a thread of its own; joins
+/// to the response status.
+fn post_unique_in_background(addr: SocketAddr, k: usize) -> JoinHandle<u16> {
+    std::thread::spawn(move || {
+        client::post(addr, "/compile", unique_program(k).as_bytes(), TIMEOUT)
+            .unwrap()
+            .status
+    })
 }
 
 #[test]
@@ -109,9 +146,7 @@ fn full_queue_sheds_load_with_429() {
         cfg.synthetic_delay = Some(Duration::from_millis(400));
     });
     let addr = server.addr();
-    let sources: Vec<String> = (0..6)
-        .map(|k| PROGRAM.replace("i * j", &format!("i * j + {k}")))
-        .collect();
+    let sources: Vec<String> = (0..6).map(unique_program).collect();
     let statuses: Vec<u16> = std::thread::scope(|scope| {
         let handles: Vec<_> = sources
             .iter()
@@ -562,4 +597,84 @@ fn compile_envelope_bytes_equal_the_json_tree_rendering() {
             );
         }
     }
+}
+
+/// The queue-wait histogram measures `try_push` to `pop` on the server.
+/// With one worker sleeping `DELAY` per job, the last of two jobs queued
+/// behind a busy worker waits about twice the delay.
+#[test]
+fn queue_wait_is_measured_from_push_to_pop() {
+    const DELAY: Duration = Duration::from_millis(300);
+    let server = facade_server(|cfg| {
+        cfg.workers = 1;
+        cfg.queue_capacity = 8;
+        cfg.synthetic_delay = Some(DELAY);
+    });
+    let addr = server.addr();
+    let busy = post_unique_in_background(addr, 0);
+    wait_for_queue(&server, 1, 0);
+    let queued = [
+        post_unique_in_background(addr, 1),
+        post_unique_in_background(addr, 2),
+    ];
+    wait_for_queue(&server, 3, 2);
+    for h in std::iter::once(busy).chain(queued) {
+        assert_eq!(h.join().unwrap(), 200);
+    }
+    let text = metrics_text(&server);
+    assert_eq!(scrape_counter(&text, "lc_queue_wait_count"), Some(3));
+    let delay_us = DELAY.as_micros() as u64;
+    assert!(scrape_counter(&text, "lc_queue_wait_sum_micros").unwrap() >= delay_us);
+    // With three observations p99 is the largest, rounded up to its
+    // bucket's upper edge.
+    assert!(scrape_counter(&text, "lc_queue_wait_p99_micros").unwrap() >= delay_us);
+    server.shutdown();
+}
+
+/// Send one request and require a 200 within 100 ms.
+fn prompt_200(what: &str, send: impl FnOnce() -> Result<Response, ClientError>) -> Response {
+    let started = Instant::now();
+    let resp = send().unwrap();
+    let took = started.elapsed();
+    assert_eq!(resp.status, 200, "{what}: {}", resp.body_text());
+    assert!(took < Duration::from_millis(100), "{what} took {took:?}");
+    resp
+}
+
+/// With the only worker busy and the only queue slot taken, cache hits,
+/// `/analyze` and `/healthz` are still answered promptly on connection
+/// threads, while one more unique compile is shed with 429.
+#[test]
+fn connection_thread_paths_answer_under_compile_saturation() {
+    let server = facade_server(|cfg| {
+        cfg.workers = 1;
+        cfg.queue_capacity = 1;
+        cfg.synthetic_delay = Some(Duration::from_millis(400));
+    });
+    let addr = server.addr();
+    let primed = client::post(addr, "/compile", PROGRAM.as_bytes(), TIMEOUT).unwrap();
+    assert_eq!(primed.status, 200);
+    let busy = post_unique_in_background(addr, 0);
+    wait_for_queue(&server, 2, 0);
+    let queued = post_unique_in_background(addr, 1);
+    wait_for_queue(&server, 3, 1);
+
+    let hit = prompt_200("cache hit", || {
+        client::post(addr, "/compile", PROGRAM.as_bytes(), TIMEOUT)
+    });
+    assert_eq!(hit.header("x-cache"), Some("hit"));
+    prompt_200("/analyze", || {
+        client::post(addr, "/analyze", PROGRAM.as_bytes(), TIMEOUT)
+    });
+    prompt_200("/healthz", || client::get(addr, "/healthz", TIMEOUT));
+
+    let shed = client::post(addr, "/compile", unique_program(2).as_bytes(), TIMEOUT).unwrap();
+    assert_eq!(shed.status, 429, "body: {}", shed.body_text());
+    assert_eq!(busy.join().unwrap(), 200);
+    assert_eq!(queued.join().unwrap(), 200);
+    assert_eq!(
+        scrape_counter(&metrics_text(&server), "lc_jobs_rejected_total"),
+        Some(1)
+    );
+    server.shutdown();
 }
