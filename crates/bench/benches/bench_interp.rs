@@ -1,7 +1,9 @@
 //! Interpreter throughput: `Interp::run_on` over each small paper kernel
 //! (reported per run and as ns per interpreter step), and the full
 //! validation check `check_equivalent` on the 100×50 quickstart nest that
-//! `bench_driver` compiles.
+//! `bench_driver` compiles, on a 48×48 `stencil2d`, and on a racy nest
+//! whose shadowed forward run sees a conflict, so validation falls back
+//! to the reverse and shuffled runs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -10,7 +12,8 @@ use std::time::Instant;
 use lc_driver::{Driver, DriverOptions};
 use lc_ir::interp::Interp;
 use lc_ir::parser::parse_program;
-use lc_workloads::kernels::all_small;
+use lc_ir::program::Program;
+use lc_workloads::kernels::{all_small, stencil2d};
 use lc_xform::validate::{check_equivalent, seeded_store};
 
 const QUICKSTART: &str = "
@@ -19,6 +22,19 @@ const QUICKSTART: &str = "
         doall j = 1..50 {
             A[i][j] = i * j;
         }
+    }
+";
+
+/// The quickstart nest plus a same-value write from every outer
+/// iteration: order-independent, but a conflict to the shadow run.
+const RACY: &str = "
+    array A[100][50];
+    array F[1];
+    doall i = 1..100 {
+        doall j = 1..50 {
+            A[i][j] = i * j;
+        }
+        F[1] = 1;
     }
 ";
 
@@ -65,17 +81,28 @@ fn bench_run_on(c: &mut Criterion) {
 fn bench_validate(c: &mut Criterion) {
     let mut group = c.benchmark_group("validate");
     group.sample_size(20);
-    let original = parse_program(QUICKSTART).unwrap();
-    let transformed = Driver::new(DriverOptions {
-        validate: false,
-        ..Default::default()
-    })
-    .compile_program(&original)
-    .unwrap()
-    .transformed;
-    group.bench_function("check_equivalent/quickstart-100x50", |b| {
-        b.iter(|| check_equivalent(black_box(&original), black_box(&transformed), SEED).unwrap())
-    });
+    let compile = |original: &Program| {
+        Driver::new(DriverOptions {
+            validate: false,
+            ..Default::default()
+        })
+        .compile_program(original)
+        .unwrap()
+        .transformed
+    };
+    let cases = [
+        ("quickstart-100x50", parse_program(QUICKSTART).unwrap()),
+        ("stencil2d-48x48", stencil2d(48, 48).program),
+        ("racy-fallback-100x50", parse_program(RACY).unwrap()),
+    ];
+    for (name, original) in cases {
+        let transformed = compile(&original);
+        group.bench_function(format!("check_equivalent/{name}"), |b| {
+            b.iter(|| {
+                check_equivalent(black_box(&original), black_box(&transformed), SEED).unwrap()
+            })
+        });
+    }
     group.finish();
 }
 

@@ -178,7 +178,7 @@ fn fuzz_nests(args: &Args) -> ExitCode {
     let mut findings = 0u64;
     // Per-class finding counts. Every kind is always printed (zeros
     // included) so CI can assert e.g. `lint-unsound=0` with a grep.
-    const KINDS: [&str; 8] = [
+    const KINDS: [&str; 9] = [
         "panic",
         "non-determinism",
         "validation-failed",
@@ -187,6 +187,7 @@ fn fuzz_nests(args: &Args) -> ExitCode {
         "spurious-skip",
         "order-dependence",
         "lint-unsound",
+        "shadow-unsound",
     ];
     let mut by_kind = [0u64; KINDS.len()];
 

@@ -8,6 +8,10 @@
 //! when a nest actually coalesced, the transformed program additionally
 //! must be insensitive to `doall` iteration order (reverse and shuffled
 //! runs), since a coalesced `doall` that only works forward is wrong.
+//! Validation trusts a shadowed forward run that sees no cross-iteration
+//! conflict in place of those runs, so for both programs the oracle
+//! runs them anyway whenever the shadow run is clean
+//! ([`Divergence::ShadowUnsound`]).
 //!
 //! A compile returning `Err` is *not* a finding by itself — `Overflow`
 //! on a near-`i64::MAX` trip product, for example, is the designed
@@ -19,7 +23,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use lc_driver::{Driver, DriverOptions, DEFAULT_PASS_ORDER};
-use lc_ir::interp::{DoallOrder, Interp, Store};
+use lc_ir::interp::{DoallOrder, Interp, Lowered, Store};
 use lc_ir::printer::print_program;
 use lc_ir::program::Program;
 use lc_lint::{LintCode, LintSet, Severity};
@@ -99,6 +103,16 @@ pub enum Divergence {
         /// Which order diverged from the forward run.
         order: String,
     },
+    /// The shadowed forward run (`Interp::run_shadowed`) reported no
+    /// cross-iteration conflict, yet the result depends on `doall`
+    /// iteration order — validation would have skipped the run that
+    /// shows it.
+    ShadowUnsound {
+        /// Which program: `"original"` or `"transformed"`.
+        program: String,
+        /// Which order diverged from the forward run.
+        order: String,
+    },
 }
 
 impl Divergence {
@@ -114,6 +128,7 @@ impl Divergence {
             Divergence::SpuriousSkip { .. } => "spurious-skip",
             Divergence::OrderDependence { .. } => "order-dependence",
             Divergence::LintUnsound { .. } => "lint-unsound",
+            Divergence::ShadowUnsound { .. } => "shadow-unsound",
         }
     }
 }
@@ -161,6 +176,10 @@ impl std::fmt::Display for Divergence {
                     "lint-certified program changes result under {order} doall order"
                 )
             }
+            Divergence::ShadowUnsound { program, order } => write!(
+                f,
+                "{program} program passed the shadow run but changes result under {order} doall order"
+            ),
         }
     }
 }
@@ -398,6 +417,24 @@ pub fn run_program(
         };
     }
 
+    // The shadow run must be sound: validation skips the reverse and
+    // shuffled runs of a program it passes, so here they run anyway.
+    let shuffle = interp_seed ^ 0x5EED;
+    for (name, p) in [("original", program), ("transformed", &output.transformed)] {
+        if let Some(order) = shadow_unsound(p, &base, shuffle) {
+            return OracleResult {
+                divergence: Some(Divergence::ShadowUnsound {
+                    program: name.to_string(),
+                    order: order.to_string(),
+                }),
+                compiled: true,
+                compile_error: None,
+                coalesced: output.coalesced.len(),
+                interpreted: true,
+            };
+        }
+    }
+
     // The lint layer's certificate must be sound: when `lc-lint`
     // declares the *original* program race-free, its result may not
     // depend on `doall` iteration order. This checks the analyzer
@@ -451,6 +488,29 @@ pub fn run_program(
         interpreted: true,
         ..no_finding(true, None, output.coalesced.len())
     }
+}
+
+/// The order under which `p` contradicts a conflict-free shadowed
+/// forward run from `base`, if any.
+fn shadow_unsound(p: &Program, base: &Store, shuffle: u64) -> Option<&'static str> {
+    let code = Lowered::new(p).ok()?;
+    let interp = Interp::new().with_budget(STEP_BUDGET);
+    let Ok((want, _, true)) = interp.run_shadowed(&code, base.clone()) else {
+        return None;
+    };
+    [
+        ("reverse", DoallOrder::Reverse),
+        ("shuffled", DoallOrder::Shuffled(shuffle)),
+    ]
+    .into_iter()
+    .find(|&(_, order)| {
+        let run = interp
+            .clone()
+            .with_order(order)
+            .run_lowered(&code, base.clone());
+        !matches!(run, Ok((store, _)) if store == want)
+    })
+    .map(|(name, _)| name)
 }
 
 /// Parse and check one source program — the entry point minimized

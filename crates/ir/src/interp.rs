@@ -36,6 +36,56 @@
 //! calls [`Interp::run_lowered`] per order; [`Interp::run_on`] lowers and
 //! runs in one call.
 //!
+//! # Shadow runs
+//!
+//! [`Interp::run_shadowed`] is a run that also proves, when it can, that
+//! every permutation of every `doall` instance gives the same store: the
+//! run-time marking of the LRPD test. Every `doall` iteration takes a
+//! fresh tag from a counter, and a stack holds each active instance's
+//! start and current iteration, so a tag lies *before* an instance, in
+//! an *earlier* iteration of it, or in its *current* one. Every array
+//! cell carries the tags of its last write `W` and its last read `R`
+//! (8 bytes beside the cell's 8), every scalar slot `W`, an
+//! exposed-read record and poison bits. The conflicts:
+//!
+//! * **array cells** — a read whose `W` is earlier (flow), a write whose
+//!   `W` or `R` is earlier (output, anti). A read whose old `R` is
+//!   earlier keeps that `R`; otherwise it becomes `R`. Kept this way, `R`
+//!   is earlier whenever *some* read since the instance began is, so one
+//!   tag per cell decides Bernstein's conditions exactly;
+//! * **scalars** — a read whose `W` is earlier (flow). A read of a value
+//!   written outside its own iteration is *exposed* to the instances
+//!   that began after that write, and a write conflicts when an exposed
+//!   read lies in an earlier iteration of such an instance (anti). The
+//!   record keeps, as `R` does, the exposed read that decides this. Two
+//!   iterations writing a scalar is no conflict — recovered indices and
+//!   accumulators are private — but *poisons* it for that instance:
+//!   when the instance exits the value is dead, and reading it before a
+//!   write is a conflict. A loop variable is bound fresh per iteration,
+//!   and its outer binding's tags are restored with its value.
+//!
+//! Scalar reads are taken per statement, from the slots its expressions
+//! mention (both arms of `&&`/`||` count). Extra reads, like any
+//! over-approximation, can only add conflicts. Arrays are never
+//! privatized, so a cell that two iterations write is a conflict even
+//! when the values agree, and no cell can end the run poisoned.
+//!
+//! *Soundness.* With no conflict, no iteration of an instance reads a
+//! location another iteration of it writes, and no two of them write an
+//! array cell; a scalar two of them write is dead after the instance.
+//! So each iteration reads the same values in any order, and the
+//! iterations commute (Bernstein's conditions): by induction from the
+//! innermost instance out, every permutation computes the same values,
+//! takes the same branches and trips, and so leaves the same store,
+//! steps, ops and errors. A conflict only says "run the other orders":
+//! validation then runs them, so the verdict never depends on the
+//! shadow. Tags are `u32`; a run that would need more gives up with a
+//! conflict.
+//!
+//! The run's values, stats and errors are those of a plain run. A plain
+//! run tests one flag per array access, assignment, `if` and loop, and
+//! never touches the tags.
+//!
 //! # Invariants
 //!
 //! The executor's observable behaviour is fixed, because simulated costs,
@@ -65,6 +115,9 @@ use crate::program::Program;
 use crate::rng::Rng;
 use crate::stmt::{Loop, Stmt};
 use crate::symbol::Symbol;
+
+mod shadow;
+use shadow::{Shadow, SlotTag};
 
 /// A dense, row-major, 1-based integer array.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -337,12 +390,38 @@ impl Interp {
     /// Run an already-lowered program starting from the supplied store;
     /// otherwise identical to [`Interp::run_on`]. Lowering once and calling
     /// this per configuration skips the per-run lowering.
-    pub fn run_lowered(&self, code: &Lowered, mut store: Store) -> Result<(Store, ExecStats)> {
+    pub fn run_lowered(&self, code: &Lowered, store: Store) -> Result<(Store, ExecStats)> {
+        let (store, stats, _) = self.execute(code, store, false)?;
+        Ok((store, stats))
+    }
+
+    /// [`Interp::run_lowered`] with shadow tags (see the module docs):
+    /// the same store, stats and error, plus whether the run proved that
+    /// every `doall` is order-independent. `true` means every permutation
+    /// of every `doall` instance would give this same store, steps and
+    /// ops; `false` means a cross-iteration conflict was seen, and says
+    /// nothing either way.
+    pub fn run_shadowed(&self, code: &Lowered, store: Store) -> Result<(Store, ExecStats, bool)> {
+        self.execute(code, store, true)
+    }
+
+    fn execute(
+        &self,
+        code: &Lowered,
+        mut store: Store,
+        shadowed: bool,
+    ) -> Result<(Store, ExecStats, bool)> {
         let mut mem: Vec<Option<Bound>> = code
             .arrays
             .iter()
             .map(|name| store.arrays.remove(name).map(Bound::new))
             .collect();
+        let shadow = shadowed.then(|| {
+            let lens = mem
+                .iter()
+                .map(|b| b.as_ref().map_or(0, |b| b.array.data.len()));
+            Box::new(Shadow::new(lens, code.slots.len()))
+        });
         let mut exec = Exec {
             code,
             slots: vec![None; code.slots.len()],
@@ -352,6 +431,8 @@ impl Interp {
             budget: self.step_budget,
             order: self.doall_order,
             trace: self.trace,
+            watch: self.trace || shadowed,
+            shadow,
         };
         exec.block(&mut mem, &code.body).map_err(|e| *e)?;
         for (name, bound) in code.arrays.iter().zip(mem) {
@@ -359,7 +440,8 @@ impl Interp {
                 store.arrays.insert(name.clone(), b.array);
             }
         }
-        Ok((store, exec.stats))
+        let independent = exec.shadow.is_some();
+        Ok((store, exec.stats, independent))
     }
 }
 
@@ -407,23 +489,34 @@ enum LCond {
 /// [`Expr::op_cost`] of every expression they evaluate plus 1 for the
 /// store — because a statement that completes evaluates each of its
 /// operators exactly once, and a run that fails reports no stats.
+///
+/// `reads` is the set of scalar slots the statement's own expressions
+/// (a loop's header, an `if`'s condition) mention; only shadowed runs
+/// look at it.
 enum LStmt {
     Scalar {
         slot: usize,
         value: LExpr,
         ops: u64,
+        reads: Reads,
     },
     Store {
         target: LRef,
         value: LExpr,
         ops: u64,
+        reads: Reads,
     },
     Loop(Box<LLoop>),
-    If {
-        cond: LCond,
-        then_body: Vec<LStmt>,
-        else_body: Vec<LStmt>,
-    },
+    If(Box<LIf>),
+}
+
+type Reads = Box<[usize]>;
+
+struct LIf {
+    cond: LCond,
+    reads: Reads,
+    then_body: Vec<LStmt>,
+    else_body: Vec<LStmt>,
 }
 
 struct LLoop {
@@ -434,6 +527,7 @@ struct LLoop {
     /// `ops` charge of evaluating the three header expressions.
     header_ops: u64,
     doall: bool,
+    reads: Reads,
     body: Vec<LStmt>,
 }
 
@@ -455,6 +549,7 @@ impl Lowered {
             array_ids: HashMap::with_capacity(prog.arrays.len()),
             slot_ids: HashMap::new(),
             slots: Vec::new(),
+            reads: Vec::new(),
         };
         for (id, decl) in prog.arrays.iter().enumerate() {
             if lower.array_ids.insert(decl.name.clone(), id).is_some() {
@@ -475,6 +570,9 @@ struct Lowerer<'p> {
     array_ids: HashMap<Symbol, usize>,
     slot_ids: HashMap<Symbol, usize>,
     slots: Vec<Symbol>,
+    /// Slots the expressions lowered since the last [`Lowerer::reads`]
+    /// mention.
+    reads: Vec<usize>,
 }
 
 impl Lowerer<'_> {
@@ -486,6 +584,14 @@ impl Lowerer<'_> {
         self.slots.push(name.clone());
         self.slot_ids.insert(name.clone(), s);
         s
+    }
+
+    /// The scalar slots read since the last call, deduplicated.
+    fn reads(&mut self) -> Reads {
+        let mut reads = std::mem::take(&mut self.reads);
+        reads.sort_unstable();
+        reads.dedup();
+        reads.into_boxed_slice()
     }
 
     fn array_ref(&mut self, r: &ArrayRef) -> Result<LRef> {
@@ -511,13 +617,17 @@ impl Lowerer<'_> {
     fn expr(&mut self, e: &Expr) -> Result<LExpr> {
         Ok(match e {
             Expr::Const(v) => LExpr::Const(*v),
-            Expr::Var(s) => LExpr::Slot(self.slot(s)),
+            Expr::Var(s) => {
+                let slot = self.slot(s);
+                self.reads.push(slot);
+                LExpr::Slot(slot)
+            }
             Expr::Read(r) => {
                 let r = self.array_ref(r)?;
                 LExpr::Node(Box::new(move |ex, mem| {
                     let (bound, flat) = ex.resolve(mem, &r)?;
-                    if ex.trace {
-                        ex.record(AccessKind::Read, r.array, flat);
+                    if ex.watch {
+                        ex.watch_cell(AccessKind::Read, r.array, flat);
                     }
                     Ok(bound.array.data[flat])
                 }))
@@ -569,22 +679,25 @@ impl Lowerer<'_> {
                 value: self.expr(value)?,
                 slot: self.slot(var),
                 ops: value.op_cost() + 1,
+                reads: self.reads(),
             },
             Stmt::AssignArray { target, value } => LStmt::Store {
                 target: self.array_ref(target)?,
                 value: self.expr(value)?,
                 ops: target.indices.iter().map(Expr::op_cost).sum::<u64>() + value.op_cost() + 1,
+                reads: self.reads(),
             },
             Stmt::Loop(l) => LStmt::Loop(Box::new(self.counted(l)?)),
             Stmt::If {
                 cond,
                 then_body,
                 else_body,
-            } => LStmt::If {
+            } => LStmt::If(Box::new(LIf {
                 cond: self.cond(cond)?,
+                reads: self.reads(),
                 then_body: self.block(then_body)?,
                 else_body: self.block(else_body)?,
-            },
+            })),
         })
     }
 
@@ -594,6 +707,7 @@ impl Lowerer<'_> {
             upper: self.expr(&l.upper)?,
             step: self.expr(&l.step)?,
             header_ops: l.lower.op_cost() + l.upper.op_cost() + l.step.op_cost(),
+            reads: self.reads(),
             body: self.block(&l.body)?,
             slot: self.slot(&l.var),
             doall: l.kind.is_doall(),
@@ -654,6 +768,10 @@ struct Exec<'c> {
     budget: u64,
     order: DoallOrder,
     trace: bool,
+    /// `trace`, or a shadow still watching: the one flag plain runs test.
+    watch: bool,
+    /// Shadow tags; dropped at the first conflict.
+    shadow: Option<Box<Shadow>>,
 }
 
 impl Exec<'_> {
@@ -746,14 +864,50 @@ impl Exec<'_> {
         Box::new(err)
     }
 
+    /// Trace and shadow an access to an array cell.
     #[cold]
-    fn record(&mut self, kind: AccessKind, array: usize, flat: usize) {
-        self.stats.trace.push(Access {
-            kind,
-            array: self.code.arrays[array].clone(),
-            flat,
-            iteration: self.loop_stack.clone(),
-        });
+    #[inline(never)]
+    fn watch_cell(&mut self, kind: AccessKind, array: usize, flat: usize) {
+        if self.trace {
+            self.stats.trace.push(Access {
+                kind,
+                array: self.code.arrays[array].clone(),
+                flat,
+                iteration: self.loop_stack.clone(),
+            });
+        }
+        if let Some(sh) = self.shadow.as_mut() {
+            match kind {
+                AccessKind::Read => sh.read_cell(array, flat),
+                AccessKind::Write => sh.write_cell(array, flat),
+            }
+            self.settle();
+        }
+    }
+
+    /// Shadow a statement's scalar reads, then (for an assignment) its
+    /// scalar write.
+    #[cold]
+    #[inline(never)]
+    fn watch_slots(&mut self, reads: &[usize], write: Option<usize>) {
+        if let Some(sh) = self.shadow.as_mut() {
+            for &s in reads {
+                sh.read_slot(s);
+            }
+            if let Some(s) = write {
+                sh.write_slot(s);
+            }
+            self.settle();
+        }
+    }
+
+    /// Drop the shadow at its first conflict: the verdict is final, and
+    /// the rest of the run goes at plain speed.
+    fn settle(&mut self) {
+        if self.shadow.as_ref().is_some_and(|sh| sh.conflict) {
+            self.shadow = None;
+            self.watch = self.trace;
+        }
     }
 
     fn cond(&mut self, mem: &[Option<Bound>], c: &LCond) -> Run<bool> {
@@ -780,31 +934,44 @@ impl Exec<'_> {
     fn stmt(&mut self, mem: &mut [Option<Bound>], s: &LStmt) -> Run<()> {
         self.tick()?;
         match s {
-            LStmt::Scalar { slot, value, ops } => {
+            LStmt::Scalar {
+                slot,
+                value,
+                ops,
+                reads,
+            } => {
                 let v = self.expr(mem, value)?;
                 self.stats.ops += ops;
+                if self.watch {
+                    self.watch_slots(reads, Some(*slot));
+                }
                 self.slots[*slot] = Some(v);
             }
-            LStmt::Store { target, value, ops } => {
+            LStmt::Store {
+                target,
+                value,
+                ops,
+                reads,
+            } => {
                 let v = self.expr(mem, value)?;
                 let (_, flat) = self.resolve(mem, target)?;
                 self.stats.ops += ops;
-                if self.trace {
-                    self.record(AccessKind::Write, target.array, flat);
+                if self.watch {
+                    self.watch_slots(reads, None);
+                    self.watch_cell(AccessKind::Write, target.array, flat);
                 }
                 let bound = mem[target.array].as_mut().expect("resolved above");
                 bound.array.data[flat] = v;
             }
             LStmt::Loop(l) => self.counted(mem, l)?,
-            LStmt::If {
-                cond,
-                then_body,
-                else_body,
-            } => {
-                if self.cond(mem, cond)? {
-                    self.block(mem, then_body)?;
+            LStmt::If(b) => {
+                if self.watch {
+                    self.watch_slots(&b.reads, None);
+                }
+                if self.cond(mem, &b.cond)? {
+                    self.block(mem, &b.then_body)?;
                 } else {
-                    self.block(mem, else_body)?;
+                    self.block(mem, &b.else_body)?;
                 }
             }
         }
@@ -831,6 +998,11 @@ impl Exec<'_> {
         // out long before the clamp matters.)
         let trip = u64::try_from(trip).unwrap_or(u64::MAX);
         let saved = self.slots[l.slot];
+        let saved_tag = if self.watch {
+            self.watch_loop_entry(l)
+        } else {
+            None
+        };
         let order = if l.doall {
             self.order
         } else {
@@ -866,15 +1038,62 @@ impl Exec<'_> {
                 self.order_buf.truncate(start);
             }
         }
-        // The loop variable goes out of scope: restore what it shadowed.
+        // The loop variable goes out of scope: restore what it shadowed,
+        // value and tag alike.
+        if let Some(tag) = saved_tag {
+            self.watch_loop_exit(l, tag);
+        }
         self.slots[l.slot] = saved;
         Ok(())
+    }
+
+    /// Shadow a loop's header reads and, for a `doall`, open its frame.
+    /// Returns the tag of the binding the loop variable shadows.
+    #[cold]
+    #[inline(never)]
+    fn watch_loop_entry(&mut self, l: &LLoop) -> Option<SlotTag> {
+        self.watch_slots(&l.reads, None);
+        let sh = self.shadow.as_mut()?;
+        if l.doall {
+            sh.enter();
+        }
+        Some(sh.slot_tag(l.slot))
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn watch_loop_exit(&mut self, l: &LLoop, tag: SlotTag) {
+        if let Some(sh) = self.shadow.as_mut() {
+            if l.doall {
+                sh.exit();
+            }
+            sh.restore_slot(l.slot, tag);
+        }
     }
 
     #[inline]
     fn iteration(&mut self, mem: &mut [Option<Bound>], l: &LLoop, ix: i64) -> Run<()> {
         self.tick()?;
         self.slots[l.slot] = Some(ix);
+        if self.watch {
+            self.watched_iteration(mem, l, ix)
+        } else {
+            self.block(mem, &l.body)
+        }
+    }
+
+    /// An iteration of a traced or shadowed run: a `doall` iteration
+    /// takes a fresh tag, and the loop variable a fresh private binding.
+    #[cold]
+    #[inline(never)]
+    fn watched_iteration(&mut self, mem: &mut [Option<Bound>], l: &LLoop, ix: i64) -> Run<()> {
+        if let Some(sh) = self.shadow.as_mut() {
+            if l.doall {
+                sh.next_iteration();
+            }
+            sh.bind_slot(l.slot);
+            self.settle();
+        }
         if self.trace {
             self.loop_stack.push((self.code.slots[l.slot].clone(), ix));
             self.block(mem, &l.body)?;

@@ -1,6 +1,8 @@
-//! Service metrics: request/job counters, a busy-worker gauge, and
+//! Service metrics: request/job counters, a busy-worker gauge,
 //! log-linear latency histograms (request latency, queue wait) with
-//! percentile estimation.
+//! percentile estimation, and the process-wide split of validation
+//! verdicts between the shadowed forward run and the reverse/shuffled
+//! fallback ([`lc_xform::validate::shadow_counts`]).
 //!
 //! Everything is lock-free atomics so the hot path never blocks, and
 //! `render` produces a Prometheus-style text exposition for `/metrics`
@@ -368,6 +370,21 @@ impl Metrics {
             "Connection threads parked waiting for a connection",
             "gauge",
             conns.parked,
+        );
+        let shadow = lc_xform::validate::shadow_counts();
+        add(
+            &mut out,
+            "lc_validate_shadow_settled_total",
+            "Order-independence verdicts settled by the shadowed forward run alone (process-wide)",
+            "counter",
+            shadow.settled,
+        );
+        add(
+            &mut out,
+            "lc_validate_fallback_total",
+            "Order-independence verdicts that needed the reverse and shuffled runs (process-wide)",
+            "counter",
+            shadow.fallbacks,
         );
         add_histogram(
             &mut out,

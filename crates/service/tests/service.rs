@@ -124,6 +124,42 @@ fn repeat_requests_hit_the_cache_and_bodies_are_identical() {
     server.shutdown();
 }
 
+/// The final `validate` step settles a clean coalesced program with the
+/// shadowed forward run alone; a program that also holds a (benign,
+/// same-value) racing `doall` needs the reverse and shuffled runs. The
+/// counters are process-wide and other tests compile concurrently, so
+/// only growth is asserted.
+#[test]
+fn metrics_split_validations_between_shadow_and_fallback() {
+    let server = facade_server(|_| {});
+    let counts = || {
+        let text = metrics_text(&server);
+        let get = |name| scrape_counter(&text, name).expect(name);
+        (
+            get("lc_validate_shadow_settled_total"),
+            get("lc_validate_fallback_total"),
+        )
+    };
+    let compile = |src: &str| {
+        let r = client::post(server.addr(), "/compile", src.as_bytes(), TIMEOUT).unwrap();
+        assert_eq!(r.status, 200, "{}", r.body_text());
+    };
+    let (settled, _) = counts();
+    compile(&unique_program(9001));
+    assert!(
+        counts().0 > settled,
+        "a clean program is settled by the shadow run"
+    );
+
+    let (_, fallbacks) = counts();
+    compile(&format!(
+        "array F[1];\n{}\ndoall k = 1..4 {{ F[1] = 7; }}",
+        unique_program(9002)
+    ));
+    assert!(counts().1 > fallbacks, "a racing doall takes the fallback");
+    server.shutdown();
+}
+
 #[test]
 fn distinct_sources_are_distinct_cache_keys() {
     let server = facade_server(|_| {});

@@ -300,18 +300,33 @@ pub fn coalesce_band(
     // is materialized so the emission matches the paper's all-symbolic
     // preamble shape. An all-constant band never gets a preamble: its
     // strides fold unless a zero-trip level makes the loop empty anyway.
+    //
+    // A symbolic trip `U` may evaluate below zero, where the level runs
+    // no iterations. Two such factors could multiply to a positive
+    // product, so with two or more symbolic trips each factor is clamped
+    // to `max(U, 0)`; a lone symbolic factor cannot flip the sign.
     let all_symbolic = band.iter().all(|h| h.upper.as_const().is_none());
+    let clamp = band
+        .iter()
+        .filter(|h| h.const_trip_count().is_none())
+        .count()
+        >= 2;
     let mut preamble = ExprBuilder::new();
     let mut strides = vec![Expr::lit(1); band.len()];
     let mut running = Expr::lit(1);
-    for k in (0..band.len()).rev() {
+    for (k, h) in band.iter().enumerate().rev() {
         if all_symbolic || (total.is_none() && running.as_const().is_none()) {
             let name = fresh_from(&used, &format!("lcs_{k}"));
             preamble.assign(name.clone(), running);
             running = Expr::Var(name);
         }
         strides[k] = running.clone();
-        running = (running * trips[k].clone()).fold();
+        let factor = if clamp && h.const_trip_count().is_none() {
+            trips[k].clone().max(Expr::lit(0))
+        } else {
+            trips[k].clone()
+        };
+        running = (running * factor).fold();
     }
     // Constant even with a symbolic bound when a zero-trip level
     // annihilates the product.

@@ -4,17 +4,50 @@
 //!
 //! * **equivalence** — run both on the same randomly seeded store and
 //!   require bit-identical final stores;
-//! * **order-independence** — run the transformed program with forward,
-//!   reverse, and shuffled `doall` orders and require identical stores
-//!   (a correct coalesced `doall` cannot care about iteration order).
+//! * **order-independence** — the transformed program's store must not
+//!   depend on `doall` iteration order (a correct coalesced `doall`
+//!   cannot care about iteration order).
+//!
+//! Order-independence is settled in one run where it can be: the
+//! forward run is shadowed ([`Interp::run_shadowed`]), and when its tags
+//! show no cross-iteration conflict, every permutation of every `doall`
+//! instance provably gives the same store, steps and errors (see
+//! [`lc_ir::interp`] for the rule and its soundness argument). Only a
+//! run with a conflict goes on to the reverse and shuffled runs, exactly
+//! as a four-run check would, so the verdict and the error text are
+//! those of running every order. [`shadow_counts`] tells the two paths
+//! apart.
 //!
 //! These checks are the dynamic complement to the static legality analysis
 //! and are used pervasively by the test suites of this workspace.
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use lc_ir::interp::{DoallOrder, Interp, Lowered, Store};
 use lc_ir::program::Program;
 use lc_ir::rng::Rng;
 use lc_ir::{Error, Result};
+
+static SETTLED: AtomicU64 = AtomicU64::new(0);
+static FALLBACKS: AtomicU64 = AtomicU64::new(0);
+
+/// Process-wide counts of order-independence verdicts since start.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ShadowCounts {
+    /// Verdicts the shadowed forward run settled alone.
+    pub settled: u64,
+    /// Verdicts that needed the reverse and shuffled runs.
+    pub fallbacks: u64,
+}
+
+/// How [`check_equivalent`] and [`check_order_independent`] reached
+/// their order-independence verdicts so far in this process.
+pub fn shadow_counts() -> ShadowCounts {
+    ShadowCounts {
+        settled: SETTLED.load(Ordering::Relaxed),
+        fallbacks: FALLBACKS.load(Ordering::Relaxed),
+    }
+}
 
 /// Build a store for `prog` whose arrays are filled with deterministic
 /// pseudo-random values derived from `seed` (a splitmix64 stream).
@@ -56,45 +89,64 @@ fn lower_and_seed(prog: &Program, seed: u64) -> Result<(Lowered, Store)> {
 /// from the same seeded input, and that `transformed` is insensitive to
 /// `doall` iteration order. Errors carry a description of the divergence.
 ///
-/// Each program is lowered once; the transformed one then runs under all
-/// three orders from its single [`Lowered`] handle. A program declaring
-/// more array elements than the step budget is declined up front.
+/// Each program is lowered once. The transformed one runs forward with
+/// shadow tags; only if those show a conflict does it also run reverse
+/// and shuffled. A program declaring more array elements than the step
+/// budget is declined up front.
 pub fn check_equivalent(original: &Program, transformed: &Program, seed: u64) -> Result<()> {
     let (code, base) = lower_and_seed(original, seed)?;
     let (want, _) = Interp::new().run_lowered(&code, base.clone())?;
 
     let code = Lowered::new(transformed)?;
-    for order in [
-        DoallOrder::Forward,
-        DoallOrder::Reverse,
-        DoallOrder::Shuffled(seed ^ 0xABCD),
-    ] {
-        let (got, _) = Interp::new()
-            .with_order(order)
-            .run_lowered(&code, base.clone())?;
-        if got != want {
-            return Err(Error::unsupported(format!(
-                "transformed program diverges from original under {order:?} (seed {seed})"
-            )));
-        }
+    let diverges = |order: DoallOrder| {
+        Error::unsupported(format!(
+            "transformed program diverges from original under {order:?} (seed {seed})"
+        ))
+    };
+    let (got, _, independent) = Interp::new().run_shadowed(&code, base.clone())?;
+    if got != want {
+        return Err(diverges(DoallOrder::Forward));
     }
-    Ok(())
+    fallback_orders(&code, &base, &want, independent, seed ^ 0xABCD, diverges)
 }
 
 /// Check that a program's result does not depend on `doall` iteration
 /// order (necessary for it to be a semantically valid parallel program).
-/// The program is lowered once and run under every order.
+/// The program is lowered once and run forward with shadow tags; the
+/// other orders run only if those show a conflict.
 pub fn check_order_independent(prog: &Program, seed: u64) -> Result<()> {
     let (code, base) = lower_and_seed(prog, seed)?;
-    let (want, _) = Interp::new().run_lowered(&code, base.clone())?;
-    for order in [DoallOrder::Reverse, DoallOrder::Shuffled(seed ^ 0x55AA)] {
+    let (want, _, independent) = Interp::new().run_shadowed(&code, base.clone())?;
+    fallback_orders(&code, &base, &want, independent, seed ^ 0x55AA, |order| {
+        Error::unsupported(format!(
+            "program is doall-order dependent (observed under {order:?}, seed {seed})"
+        ))
+    })
+}
+
+/// Settle order-independence after the shadowed forward run that left
+/// `want`: done if it proved independence, else run reverse and
+/// shuffled (`shuffle_seed`) and compare, reporting a mismatch through
+/// `diverges`.
+fn fallback_orders(
+    code: &Lowered,
+    base: &Store,
+    want: &Store,
+    independent: bool,
+    shuffle_seed: u64,
+    diverges: impl Fn(DoallOrder) -> Error,
+) -> Result<()> {
+    if independent {
+        SETTLED.fetch_add(1, Ordering::Relaxed);
+        return Ok(());
+    }
+    FALLBACKS.fetch_add(1, Ordering::Relaxed);
+    for order in [DoallOrder::Reverse, DoallOrder::Shuffled(shuffle_seed)] {
         let (got, _) = Interp::new()
             .with_order(order)
-            .run_lowered(&code, base.clone())?;
-        if got != want {
-            return Err(Error::unsupported(format!(
-                "program is doall-order dependent (observed under {order:?}, seed {seed})"
-            )));
+            .run_lowered(code, base.clone())?;
+        if &got != want {
+            return Err(diverges(order));
         }
     }
     Ok(())

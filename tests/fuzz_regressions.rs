@@ -112,6 +112,43 @@ doall i = 1..4 {
     assert!(divergence.is_none(), "{divergence:?}");
 }
 
+/// Two symbolic upper bounds below 1: the nest runs no iterations, but
+/// the stride chain multiplied the raw bounds, so `lcs_total` was
+/// `(-2) * (-3) = 6` and the coalesced loop indexed `A[0][..]`. Both
+/// `coalesce_source` and `Driver::compile` failed with "subscript 0 out
+/// of bounds". Each symbolic factor is now clamped to `max(U, 0)`.
+#[test]
+fn symbolic_trips_below_one_multiply_to_no_iterations() {
+    let src = r#"
+array A[3][3];
+n = -2;
+m = -3;
+doall i = 1..n {
+    doall j = 1..m {
+        A[i][j] = 1;
+    }
+}
+"#;
+    let out = loop_coalescing::coalesce_source(src).unwrap();
+    assert!(
+        out.transformed_source.contains("max(n, 0)"),
+        "{}",
+        out.transformed_source
+    );
+    let compiled = lc_driver::Driver::new(lc_driver::DriverOptions::default())
+        .compile(src)
+        .unwrap();
+    assert_eq!(compiled.coalesced.len(), 1);
+    let divergence = lc_fuzz::oracle::check_source(
+        src,
+        &lc_driver::DEFAULT_PASS_ORDER,
+        &lc_driver::DriverOptions::default(),
+        0xC0A1E5CE,
+        true,
+    );
+    assert!(divergence.is_none(), "{divergence:?}");
+}
+
 /// The CI seed must stay clean: the exact configuration the push-gate
 /// fuzz job runs, compressed to a smoke-sized prefix.
 #[test]
