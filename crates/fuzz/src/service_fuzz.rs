@@ -142,6 +142,26 @@ fn handcrafted() -> Vec<(&'static str, Vec<u8>, bool)> {
         ("deep-json-batch", deep_json, false),
         ("huge-json-batch", huge_json, false),
         ("deep-dsl-compile", deep_dsl, false),
+        // Bytes after the declared body: the answer must still arrive
+        // whole, with the leftovers drained rather than reset.
+        (
+            "trailing-request-after-body",
+            b"POST /compile HTTP/1.1\r\ncontent-length: 4\r\n\r\n\xff\xfe\xfd\xfc\
+              GET /healthz HTTP/1.1\r\n\r\n"
+                .to_vec(),
+            false,
+        ),
+        (
+            "trailing-noise-after-body-half-closed",
+            b"POST /compile HTTP/1.1\r\ncontent-length: 2\r\n\r\n\xff\xfe\0\0\0\x80garbage"
+                .to_vec(),
+            true,
+        ),
+        (
+            "trailing-bytes-after-empty-body",
+            b"BREW /compile HTTP/1.1\r\ncontent-length: 0\r\n\r\nxyz".to_vec(),
+            false,
+        ),
         // A character of more than two bytes where the lexer looks for
         // two-character punctuation: a parse error (422), not a panic.
         (

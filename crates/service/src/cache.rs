@@ -23,8 +23,13 @@ use lc_driver::sync::lock_recovering;
 
 /// 64-bit FNV-1a over a byte string.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv1a_parts(&[bytes])
+}
+
+/// 64-bit FNV-1a over the concatenation of `parts`, without building it.
+pub fn fnv1a_parts(parts: &[&[u8]]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
+    for &b in parts.iter().flat_map(|part| part.iter()) {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }

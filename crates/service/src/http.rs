@@ -6,9 +6,14 @@
 //! and response bodies, case-insensitive header lookup, and hard limits
 //! on header and body sizes. No chunked encoding, no keep-alive — every
 //! exchange is one request, one response, `Connection: close`.
+//!
+//! A response goes out in one vectored write of head and body
+//! ([`Response::write_to`]), and its body may be any byte container, so
+//! the server can answer with a body it shares with its cache instead
+//! of a copy.
 
 use std::fmt::Write as _;
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, IoSlice, Write};
 
 use lc_driver::json::Json;
 
@@ -176,16 +181,17 @@ pub fn read_request(
 }
 
 /// An HTTP response (used on both sides: built by the server, parsed by
-/// the client).
+/// the client). The body is any byte container: a parsed response holds
+/// a `Vec<u8>`, and the server may answer with a body it shares.
 #[derive(Debug, Clone)]
-pub struct Response {
+pub struct Response<B = Vec<u8>> {
     /// Status code.
     pub status: u16,
     /// Extra headers (`Content-Length`/`Connection` are added when
     /// writing).
     pub headers: Vec<(String, String)>,
     /// The body.
-    pub body: Vec<u8>,
+    pub body: B,
 }
 
 impl Response {
@@ -206,16 +212,6 @@ impl Response {
         Response::json_body(status, value.to_string().into_bytes())
     }
 
-    /// A response with the given status and an already rendered JSON
-    /// body (e.g. from a [`lc_driver::json::JsonWriter`]).
-    pub fn json_body(status: u16, body: Vec<u8>) -> Response {
-        Response {
-            status,
-            headers: vec![("content-type".to_string(), "application/json".to_string())],
-            body,
-        }
-    }
-
     /// A JSON error envelope: `{"ok":false,"error":"..."}`.
     pub fn error(status: u16, message: impl Into<String>) -> Response {
         Response::json(
@@ -227,8 +223,25 @@ impl Response {
         )
     }
 
+    /// The body as UTF-8 (lossy).
+    pub fn body_text(&self) -> String {
+        String::from_utf8_lossy(&self.body).into_owned()
+    }
+}
+
+impl<B> Response<B> {
+    /// A response with the given status and an already rendered JSON
+    /// body (e.g. from a [`lc_driver::json::JsonWriter`]).
+    pub fn json_body(status: u16, body: B) -> Response<B> {
+        Response {
+            status,
+            headers: vec![("content-type".to_string(), "application/json".to_string())],
+            body,
+        }
+    }
+
     /// Add a header.
-    pub fn with_header(mut self, name: &str, value: impl Into<String>) -> Response {
+    pub fn with_header(mut self, name: &str, value: impl Into<String>) -> Response<B> {
         self.headers.push((name.to_ascii_lowercase(), value.into()));
         self
     }
@@ -241,25 +254,46 @@ impl Response {
             .find(|(k, _)| *k == name)
             .map(|(_, v)| v.as_str())
     }
+}
 
-    /// The body as UTF-8 (lossy).
-    pub fn body_text(&self) -> String {
-        String::from_utf8_lossy(&self.body).into_owned()
-    }
-
-    /// Serialize onto the wire, adding framing headers.
+impl<B: AsRef<[u8]>> Response<B> {
+    /// Serialize onto the wire, adding framing headers. Head and body go
+    /// out in one vectored write, repeated only for what a partial write
+    /// left over.
     pub fn write_to(&self, writer: &mut impl Write) -> io::Result<()> {
+        let body = self.body.as_ref();
         let mut head = String::new();
         let _ = write!(head, "HTTP/1.1 {} {}\r\n", self.status, reason(self.status));
         for (k, v) in &self.headers {
             let _ = write!(head, "{k}: {v}\r\n");
         }
-        let _ = write!(head, "content-length: {}\r\n", self.body.len());
+        let _ = write!(head, "content-length: {}\r\n", body.len());
         let _ = write!(head, "connection: close\r\n\r\n");
-        writer.write_all(head.as_bytes())?;
-        writer.write_all(&self.body)?;
+        write_all_vectored(writer, head.as_bytes(), body)?;
         writer.flush()
     }
+}
+
+/// Write `first` then `second`, each call offering both as one vectored
+/// write of what is still unwritten.
+fn write_all_vectored(
+    writer: &mut impl Write,
+    mut first: &[u8],
+    mut second: &[u8],
+) -> io::Result<()> {
+    while !first.is_empty() || !second.is_empty() {
+        match writer.write_vectored(&[IoSlice::new(first), IoSlice::new(second)]) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => {
+                let from_first = n.min(first.len());
+                first = &first[from_first..];
+                second = &second[n - from_first..];
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 /// Parse one response (client side).
@@ -383,6 +417,68 @@ mod tests {
         assert_eq!(back.status, 200);
         assert_eq!(back.header("x-cache"), Some("hit"));
         assert_eq!(back.body_text(), "hi there");
+    }
+
+    /// A writer that takes at most `step` bytes per call, across slices,
+    /// like a socket whose send buffer has room for only part.
+    struct Trickle {
+        step: usize,
+        calls: usize,
+        wire: Vec<u8>,
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            let mut room = self.step;
+            for buf in bufs {
+                let n = buf.len().min(room);
+                self.wire.extend_from_slice(&buf[..n]);
+                room -= n;
+            }
+            Ok(self.step - room)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn partial_writes_resume_where_they_stopped() {
+        let body: Vec<u8> = (0..100_000u32).map(|i| (i % 251) as u8).collect();
+        let resp = Response::json_body(200, body.clone()).with_header("x-cache", "hit");
+        let mut whole = Vec::new();
+        resp.write_to(&mut whole).unwrap();
+        for step in [1, 7, 4096, 65_536] {
+            let mut trickle = Trickle {
+                step,
+                calls: 0,
+                wire: Vec::new(),
+            };
+            resp.write_to(&mut trickle).unwrap();
+            assert_eq!(trickle.wire, whole, "step {step}");
+            assert_eq!(trickle.calls, whole.len().div_ceil(step), "step {step}");
+        }
+        let back = read_response(&mut BufReader::new(&whole[..])).unwrap();
+        assert_eq!(back.body, body);
+    }
+
+    #[test]
+    fn head_and_body_bytes_are_pinned() {
+        let resp =
+            Response::json_body(200, b"{\"ok\":true}".to_vec()).with_header("x-cache", "hit");
+        let mut wire = Vec::new();
+        resp.write_to(&mut wire).unwrap();
+        assert_eq!(
+            wire,
+            b"HTTP/1.1 200 OK\r\ncontent-type: application/json\r\nx-cache: hit\r\n\
+              content-length: 11\r\nconnection: close\r\n\r\n{\"ok\":true}"
+        );
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Service metrics: request/job counters, a busy-worker gauge,
-//! log-linear latency histograms (request latency, queue wait) with
+//! log-linear latency histograms (request latency, queue wait, and the
+//! four stages of a connection: dispatch, read, handle, write) with
 //! percentile estimation, and the process-wide split of validation
 //! verdicts between the shadowed forward run and the reverse/shuffled
 //! fallback ([`lc_xform::validate::shadow_counts`]).
@@ -9,6 +10,7 @@
 //! that the integration tests (and any real scrape) parse line-by-line.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
 
 use crate::cache::CacheCounters;
 use crate::conns::ConnCounters;
@@ -68,6 +70,11 @@ impl LatencyHistogram {
         self.buckets[Self::bucket_index(micros)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum_micros.fetch_add(micros, Ordering::Relaxed);
+    }
+
+    /// Record the time elapsed since `start`.
+    pub fn record_since(&self, start: Instant) {
+        self.record_micros(start.elapsed().as_micros() as u64);
     }
 
     /// Observations recorded so far.
@@ -137,6 +144,16 @@ pub struct Metrics {
     pub latency: LatencyHistogram,
     /// Per job, the time from `try_push` to a worker's `pop`.
     pub queue_wait: LatencyHistogram,
+    /// Per connection, the time from `accept` to a connection thread
+    /// starting on it.
+    pub stage_dispatch: LatencyHistogram,
+    /// Per connection, the time to read and parse the request.
+    pub stage_read: LatencyHistogram,
+    /// Per answer, the time to route the request and build the answer
+    /// (cache, queue wait and compile included).
+    pub stage_handle: LatencyHistogram,
+    /// Per answer, the time to write it to the socket.
+    pub stage_write: LatencyHistogram,
 }
 
 fn add(out: &mut String, name: &str, help: &str, kind: &str, value: u64) {
@@ -406,6 +423,31 @@ impl Metrics {
             ],
             &self.queue_wait,
         );
+        for (stage, what, h) in [
+            (
+                "dispatch",
+                "accept to a connection thread starting",
+                &self.stage_dispatch,
+            ),
+            ("read", "reading the request", &self.stage_read),
+            (
+                "handle",
+                "routing, cache, queue and compile",
+                &self.stage_handle,
+            ),
+            ("write", "writing the answer", &self.stage_write),
+        ] {
+            add_histogram(
+                &mut out,
+                &format!("lc_stage_{stage}"),
+                [
+                    &format!("Connection-path stage observations: {what}"),
+                    &format!("Total time in microseconds: {what}"),
+                    &format!("Quantile estimate in microseconds: {what}"),
+                ],
+                h,
+            );
+        }
         out
     }
 }
@@ -476,7 +518,20 @@ mod tests {
             parked: 1,
         };
         m.queue_wait.record_micros(400_000);
+        m.stage_dispatch.record_micros(30);
+        m.stage_write.record_micros(12);
+        m.stage_write.record_micros(14);
         let text = m.render(cache, conns, 5, 2);
+        assert_eq!(scrape_counter(&text, "lc_stage_dispatch_count"), Some(1));
+        assert_eq!(scrape_counter(&text, "lc_stage_read_count"), Some(0));
+        assert_eq!(scrape_counter(&text, "lc_stage_handle_p95_micros"), Some(0));
+        assert_eq!(scrape_counter(&text, "lc_stage_write_count"), Some(2));
+        assert_eq!(scrape_counter(&text, "lc_stage_write_sum_micros"), Some(26));
+        // The stage histograms come last, after every older metric.
+        let first_stage = text.find("# HELP lc_stage_").unwrap();
+        assert!(text[first_stage..]
+            .lines()
+            .all(|line| line.contains("lc_stage_")));
         assert_eq!(scrape_counter(&text, "lc_requests_total"), Some(7));
         assert_eq!(scrape_counter(&text, "lc_responses_2xx_total"), Some(1));
         assert_eq!(scrape_counter(&text, "lc_responses_4xx_total"), Some(1));

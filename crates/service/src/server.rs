@@ -19,7 +19,18 @@
 //!   creation is paid only when the number of connections in flight
 //!   grows. At most `workers + queue_capacity` threads stay parked.
 //! * Cache hits are answered directly on the connection thread — they
-//!   never consume a queue slot or a worker. So is `/analyze`.
+//!   never consume a queue slot or a worker. So is `/analyze`. A hit is
+//!   written from the cache's own envelope, not a copy.
+//! * Each answer goes out in one vectored write. When the request was
+//!   read exactly to its `Content-Length` and one non-blocking peek finds
+//!   nothing more, the connection closes at once, so the server closes
+//!   first. Otherwise (bytes pending, an early 400/408/413, or the peek
+//!   failing) it drains what the client sends, bounded by the body cap
+//!   and the read timeout, so leftover bytes cannot reset the answer.
+//! * `/metrics` times each connection in four stages: `dispatch`
+//!   (accept to a connection thread starting), `read`, `handle`
+//!   (routing, cache, queue and compile) and `write`. A request's
+//!   `X-Request-Id` is echoed when it is 1–128 visible ASCII bytes.
 //! * A full queue is answered `429` immediately (load shedding), a
 //!   closed queue `503` (draining).
 //! * Every job carries a deadline; a worker that pops an expired job
@@ -40,7 +51,7 @@ use std::time::{Duration, Instant};
 use lc_driver::json::{Json, JsonWriter};
 use lc_driver::{BatchItem, Driver, DriverOptions, DriverOutput};
 
-use crate::cache::{fnv1a, ShardedLru};
+use crate::cache::{fnv1a_parts, ShardedLru};
 use crate::conns::ParkedThreads;
 use crate::http::{read_request, ReadError, Request, Response};
 use crate::metrics::Metrics;
@@ -107,7 +118,8 @@ struct Shared {
     fingerprint: String,
     cache: ShardedLru<Vec<u8>>,
     queue: BoundedQueue<Job>,
-    conns: ParkedThreads<TcpStream>,
+    /// Accepted connections, each with the instant it was accepted.
+    conns: ParkedThreads<(TcpStream, Instant)>,
     metrics: Metrics,
     draining: AtomicBool,
     active_conns: AtomicUsize,
@@ -219,21 +231,21 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
         }
         let Ok(stream) = stream else { continue };
         shared.active_conns.fetch_add(1, Ordering::AcqRel);
-        shared
-            .conns
-            .dispatch(stream, |stream| spawn_conn_thread(shared, stream));
+        shared.conns.dispatch((stream, Instant::now()), |first| {
+            spawn_conn_thread(shared, first)
+        });
     }
     shared.conns.close();
 }
 
 /// Start a connection thread for `first`: it serves one connection at a
 /// time and parks in between, until [`ParkedThreads::park`] says exit.
-fn spawn_conn_thread(shared: &Arc<Shared>, first: TcpStream) {
+fn spawn_conn_thread(shared: &Arc<Shared>, first: (TcpStream, Instant)) {
     let own = Arc::clone(shared);
     let serve = move || {
         let mut next = Some(first);
-        while let Some(stream) = next {
-            handle_connection(&stream, &own);
+        while let Some((stream, accepted)) = next {
+            handle_connection(&stream, accepted, &own);
             // Close before parking: the client waits for EOF.
             drop(stream);
             own.active_conns.fetch_sub(1, Ordering::AcqRel);
@@ -249,45 +261,119 @@ fn spawn_conn_thread(shared: &Arc<Shared>, first: TcpStream) {
     }
 }
 
-fn handle_connection(mut stream: &TcpStream, shared: &Shared) {
+fn handle_connection(mut stream: &TcpStream, accepted: Instant, shared: &Shared) {
+    let metrics = &shared.metrics;
+    metrics.stage_dispatch.record_since(accepted);
     let _ = stream.set_read_timeout(Some(shared.config.read_timeout));
     let _ = stream.set_nodelay(true);
     let mut reader = BufReader::new(stream);
     let started = Instant::now();
-    let response = match read_request(&mut reader, shared.config.max_body_bytes) {
+    let parsed = read_request(&mut reader, shared.config.max_body_bytes);
+    let read = Instant::now();
+    metrics
+        .stage_read
+        .record_micros(read.duration_since(started).as_micros() as u64);
+    // Whether the request was read to the end of its body (an early
+    // 400/408/413 may leave part of it unread).
+    let consumed = parsed.is_ok();
+    let response = match parsed {
         Ok(req) => {
-            shared
-                .metrics
-                .requests_total
-                .fetch_add(1, Ordering::Relaxed);
-            route(shared, req)
+            metrics.requests_total.fetch_add(1, Ordering::Relaxed);
+            let request_id = req
+                .header("x-request-id")
+                .filter(|id| echoable(id))
+                .map(str::to_owned);
+            let response = route(shared, req);
+            match request_id {
+                Some(id) => response.with_header("x-request-id", id),
+                None => response,
+            }
         }
         Err(ReadError::Closed) => return, // e.g. the drain poke
-        Err(ReadError::Timeout) => Response::error(408, "timed out reading the request"),
+        Err(ReadError::Timeout) => Response::error(408, "timed out reading the request").into(),
         Err(ReadError::TooLarge { limit }) => {
-            Response::error(413, format!("request exceeds {limit} bytes"))
+            Response::error(413, format!("request exceeds {limit} bytes")).into()
         }
-        Err(ReadError::Malformed(what)) => Response::error(400, format!("bad request: {what}")),
-        Err(ReadError::Io(e)) => Response::error(500, format!("i/o error: {e}")),
+        Err(ReadError::Malformed(what)) => {
+            Response::error(400, format!("bad request: {what}")).into()
+        }
+        Err(ReadError::Io(e)) => Response::error(500, format!("i/o error: {e}")).into(),
     };
-    shared.metrics.observe_status(response.status);
-    shared
-        .metrics
+    metrics.stage_handle.record_since(read);
+    metrics.observe_status(response.status);
+    metrics
         .latency
         .record_micros(started.elapsed().as_micros() as u64);
+    let writing = Instant::now();
     let _ = response.write_to(&mut stream);
-    // Drain whatever the client already sent (we may have answered
-    // without reading the body, e.g. 413): closing with unread bytes in
-    // the receive buffer would RST the response off the wire. Bounded by
-    // the body cap and the socket read timeout.
+    metrics.stage_write.record_since(writing);
+    if consumed && reader.buffer().is_empty() && nothing_pending(stream) {
+        return;
+    }
+    // Drain whatever the client sent beyond the request (we may have
+    // answered without reading the body, e.g. 413): closing with unread
+    // bytes in the receive buffer would RST the response off the wire.
+    // Bounded by the body cap and the socket read timeout.
     let _ = std::io::copy(
         &mut std::io::Read::take(&mut reader, shared.config.max_body_bytes as u64),
         &mut std::io::sink(),
     );
 }
 
-fn route(shared: &Shared, req: Request) -> Response {
-    match (req.method.as_str(), req.target.as_str()) {
+/// True when the client has sent nothing after its request: one
+/// non-blocking peek finds no byte waiting, or finds that the client
+/// already half-closed. Then the connection can close at once instead
+/// of waiting for the client's FIN. The socket is left non-blocking,
+/// which is harmless because it is about to close; when the peek finds
+/// bytes or fails, it is made blocking again for the drain.
+fn nothing_pending(stream: &TcpStream) -> bool {
+    if stream.set_nonblocking(true).is_err() {
+        return false;
+    }
+    match stream.peek(&mut [0u8; 1]) {
+        Ok(0) => true,
+        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => true,
+        Ok(_) | Err(_) => {
+            let _ = stream.set_nonblocking(false);
+            false
+        }
+    }
+}
+
+/// Whether an `X-Request-Id` value may be echoed: 1–128 visible ASCII
+/// bytes, so no CR, LF or other control byte can split the answer.
+fn echoable(id: &str) -> bool {
+    (1..=128).contains(&id.len()) && id.bytes().all(|b| b.is_ascii_graphic())
+}
+
+/// An answer's body: rendered for this request, or a cached `/compile`
+/// envelope shared with the cache rather than copied.
+enum Body {
+    Rendered(Vec<u8>),
+    Cached(Arc<Vec<u8>>),
+}
+
+impl AsRef<[u8]> for Body {
+    fn as_ref(&self) -> &[u8] {
+        match self {
+            Body::Rendered(bytes) => bytes,
+            Body::Cached(bytes) => bytes,
+        }
+    }
+}
+
+impl From<Response> for Response<Body> {
+    fn from(response: Response) -> Response<Body> {
+        Response {
+            status: response.status,
+            headers: response.headers,
+            body: Body::Rendered(response.body),
+        }
+    }
+}
+
+fn route(shared: &Shared, req: Request) -> Response<Body> {
+    let response = match (req.method.as_str(), req.target.as_str()) {
         ("GET", "/healthz") => Response::json(
             200,
             &Json::obj(vec![
@@ -307,7 +393,7 @@ fn route(shared: &Shared, req: Request) -> Response {
                 shared.config.workers.max(1),
             ),
         ),
-        ("POST", "/compile") => handle_compile(shared, req),
+        ("POST", "/compile") => return handle_compile(shared, req),
         ("POST", "/batch") => handle_batch(shared, req),
         ("POST", "/analyze") => handle_analyze(shared, req),
         ("POST", "/shutdown") => {
@@ -329,7 +415,8 @@ fn route(shared: &Shared, req: Request) -> Response {
             format!("{} requires GET, got {}", req.target, req.method),
         ),
         _ => Response::error(404, format!("no such endpoint: {}", req.target)),
-    }
+    };
+    response.into()
 }
 
 /// Deadline for a request: `X-Deadline-Ms` when present and sane,
@@ -381,28 +468,28 @@ fn run_job(shared: &Shared, kind: JobKind, deadline: Duration) -> Response {
     }
 }
 
-fn handle_compile(shared: &Shared, req: Request) -> Response {
+fn handle_compile(shared: &Shared, req: Request) -> Response<Body> {
     shared
         .metrics
         .compile_requests
         .fetch_add(1, Ordering::Relaxed);
     let deadline = match request_deadline(shared, &req) {
         Ok(d) => d,
-        Err(resp) => return resp,
+        Err(resp) => return resp.into(),
     };
     let Ok(source) = String::from_utf8(req.body) else {
-        return Response::error(400, "request body is not UTF-8");
+        return Response::error(400, "request body is not UTF-8").into();
     };
     if source.trim().is_empty() {
-        return Response::error(422, "empty program");
+        return Response::error(422, "empty program").into();
     }
     let key = cache_key(&shared.fingerprint, &source);
     if let Some(body) = shared.cache.get(key) {
         // Byte-identical to the miss path: the cached value *is* the
-        // body the worker rendered.
-        return Response::json_body(200, body.as_ref().clone()).with_header("x-cache", "hit");
+        // body the worker rendered, written from the cache's own copy.
+        return Response::json_body(200, Body::Cached(body)).with_header("x-cache", "hit");
     }
-    run_job(shared, JobKind::Compile { key, source }, deadline)
+    run_job(shared, JobKind::Compile { key, source }, deadline).into()
 }
 
 fn handle_batch(shared: &Shared, req: Request) -> Response {
@@ -484,13 +571,9 @@ fn handle_analyze(shared: &Shared, req: Request) -> Response {
 
 /// FNV key over the driver fingerprint and the source text, with a
 /// separator byte that cannot occur inside UTF-8 text so the two parts
-/// cannot alias.
+/// cannot alias. Hashed part by part, without concatenating them.
 fn cache_key(fingerprint: &str, source: &str) -> u64 {
-    let mut bytes = Vec::with_capacity(fingerprint.len() + source.len() + 1);
-    bytes.extend_from_slice(fingerprint.as_bytes());
-    bytes.push(0xFF);
-    bytes.extend_from_slice(source.as_bytes());
-    fnv1a(&bytes)
+    fnv1a_parts(&[fingerprint.as_bytes(), &[0xFF], source.as_bytes()])
 }
 
 fn worker_loop(shared: &Shared) {
@@ -604,6 +687,31 @@ mod tests {
         while !cond() {
             assert!(Instant::now() < give_up, "timed out waiting for {what}");
             std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// The streamed key equals FNV-1a over the concatenated bytes (the
+    /// construction it replaced) on every corpus program.
+    #[test]
+    fn cache_keys_equal_the_concatenated_construction() {
+        let fingerprint = DriverOptions::default().fingerprint();
+        for source in crate::corpus::corpus72() {
+            let mut bytes = fingerprint.as_bytes().to_vec();
+            bytes.push(0xFF);
+            bytes.extend_from_slice(source.as_bytes());
+            assert_eq!(
+                cache_key(&fingerprint, &source),
+                crate::cache::fnv1a(&bytes)
+            );
+        }
+    }
+
+    #[test]
+    fn only_visible_ascii_request_ids_are_echoed() {
+        assert!(echoable("req-42"));
+        assert!(echoable(&"a".repeat(128)));
+        for bad in ["", "a\rb", "a\nb", "a b", "é", &"a".repeat(129)] {
+            assert!(!echoable(bad), "{bad:?}");
         }
     }
 

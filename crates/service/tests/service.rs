@@ -714,3 +714,227 @@ fn connection_thread_paths_answer_under_compile_saturation() {
     );
     server.shutdown();
 }
+
+/// Send `bytes` on a raw connection, then `later` (if any) after a
+/// pause that lets the server answer and close first, and read to EOF
+/// without half-closing: the way a client that trusts `Connection:
+/// close` reads. Returns what arrived and how long the exchange took; a
+/// write failing because the server already closed is ignored. The
+/// pause only makes the close-first order likely: if `later` arrives
+/// before the server looks, it drains until its read timeout instead,
+/// and the answer is the same.
+fn raw_read_to_eof(addr: SocketAddr, bytes: &[u8], later: Option<&[u8]>) -> (Vec<u8>, Duration) {
+    use std::io::{Read, Write};
+    let started = Instant::now();
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    stream.set_read_timeout(Some(TIMEOUT)).unwrap();
+    stream.write_all(bytes).unwrap();
+    if let Some(later) = later {
+        std::thread::sleep(Duration::from_millis(100));
+        let _ = stream.write_all(later);
+    }
+    let mut wire = Vec::new();
+    // Bytes sent after the server closed can make it reset the
+    // connection; what arrived before the reset is still read.
+    let _ = stream.read_to_end(&mut wire);
+    (wire, started.elapsed())
+}
+
+fn parse_wire(wire: &[u8]) -> Response {
+    lc_service::http::read_response(&mut std::io::BufReader::new(wire))
+        .unwrap_or_else(|e| panic!("{e}: {:?}", String::from_utf8_lossy(wire)))
+}
+
+fn post_bytes(target: &str, body: &[u8]) -> Vec<u8> {
+    let mut wire = format!(
+        "POST {target} HTTP/1.1\r\ncontent-length: {}\r\n\r\n",
+        body.len()
+    )
+    .into_bytes();
+    wire.extend_from_slice(body);
+    wire
+}
+
+/// A client that reads a `Connection: close` answer to EOF without
+/// closing its own side first gets the answer and EOF at once: the
+/// server closes as soon as it has answered a fully read request,
+/// instead of waiting out its read timeout for the client's FIN.
+#[test]
+fn client_reading_to_eof_gets_the_answer_without_half_closing() {
+    let server = facade_server(|cfg| cfg.read_timeout = Duration::from_secs(10));
+    let addr = server.addr();
+    let healthz = b"GET /healthz HTTP/1.1\r\nhost: x\r\n\r\n".to_vec();
+    for (what, request) in [
+        ("/healthz", healthz),
+        ("/compile miss", post_bytes("/compile", PROGRAM.as_bytes())),
+        ("/compile hit", post_bytes("/compile", PROGRAM.as_bytes())),
+    ] {
+        let (wire, took) = raw_read_to_eof(addr, &request, None);
+        let resp = parse_wire(&wire);
+        assert_eq!(resp.status, 200, "{what}: {}", resp.body_text());
+        assert!(wire.ends_with(&resp.body), "{what}: nothing after the body");
+        assert!(took < Duration::from_secs(2), "{what} took {took:?}");
+    }
+    server.shutdown();
+}
+
+/// Bytes beyond the declared body never cost the client its answer:
+/// sent with the request they are drained before the close, and sent
+/// after the server closed they arrive too late to reset it.
+#[test]
+fn bytes_after_the_body_still_leave_a_complete_answer() {
+    let server = facade_server(|_| {});
+    let addr = server.addr();
+    let request = post_bytes("/compile", PROGRAM.as_bytes());
+    let extra = b"GET /healthz HTTP/1.1\r\n\r\n trailing noise";
+    let together = [request.clone(), extra.to_vec()].concat();
+    // Sent together the extra bytes are pending when the server
+    // answers, so it drains until the client closes: read by length.
+    let resp = client::send_raw(addr, &together, false, TIMEOUT).unwrap();
+    let client::RawOutcome::Response(resp) = resp else {
+        panic!("no answer: {resp:?}")
+    };
+    assert_eq!(resp.status, 200, "{}", resp.body_text());
+    // Sent in a later write, after the server closed.
+    let (wire, _) = raw_read_to_eof(addr, &request, Some(extra));
+    let resp = parse_wire(&wire);
+    assert_eq!(resp.status, 200, "{}", resp.body_text());
+    assert_eq!(resp.header("x-cache"), Some("hit"));
+    assert_eq!(client::get(addr, "/healthz", TIMEOUT).unwrap().status, 200);
+    server.shutdown();
+}
+
+/// A body over the cap is answered 413 without being read; the drain
+/// keeps the unread body from resetting the answer off the wire.
+#[test]
+fn oversized_body_still_delivers_its_413() {
+    let server = facade_server(|cfg| cfg.max_body_bytes = 512);
+    let request = post_bytes("/compile", &[b'x'; 4096]);
+    for close_write in [false, true] {
+        match client::send_raw(server.addr(), &request, close_write, TIMEOUT).unwrap() {
+            client::RawOutcome::Response(resp) => {
+                assert_eq!(resp.status, 413, "{}", resp.body_text())
+            }
+            other => panic!("close_write {close_write}: no answer: {other:?}"),
+        }
+    }
+    server.shutdown();
+}
+
+/// An answer far larger than one socket write can take arrives intact,
+/// as a miss and as a hit written from the cached envelope.
+#[test]
+fn answers_over_64_kib_arrive_intact() {
+    let server = facade_server(|_| {});
+    let mut program = String::from("array A[3][4];\n");
+    for k in 0..150 {
+        program.push_str(&format!(
+            "doall i = 1..3 {{ doall j = 1..4 {{ A[i][j] = i + j + {k}; }} }}\n"
+        ));
+    }
+    let miss = client::post(server.addr(), "/compile", program.as_bytes(), TIMEOUT).unwrap();
+    assert_eq!(miss.status, 200, "{}", miss.body_text());
+    assert!(miss.body.len() > 64 * 1024, "{} bytes", miss.body.len());
+    let body = Json::parse(&miss.body_text()).unwrap();
+    assert_eq!(body.int_field("coalesced_nests").unwrap(), 150);
+    let facade = loop_coalescing::coalesce_source(&program).unwrap();
+    assert_eq!(body.str_field("source").unwrap(), facade.transformed_source);
+    let (wire, _) = raw_read_to_eof(
+        server.addr(),
+        &post_bytes("/compile", program.as_bytes()),
+        None,
+    );
+    let hit = parse_wire(&wire);
+    assert_eq!(hit.header("x-cache"), Some("hit"));
+    assert_eq!(hit.body, miss.body);
+    server.shutdown();
+}
+
+/// `/metrics` times every connection in four stages. A scrape sees its
+/// own dispatch and read, the handle of every earlier request, and the
+/// write of every earlier request whose thread has finished writing.
+#[test]
+fn metrics_time_the_connection_stages() {
+    let server = facade_server(|_| {});
+    let addr = server.addr();
+    for _ in 0..3 {
+        assert_eq!(client::get(addr, "/healthz", TIMEOUT).unwrap().status, 200);
+        assert_eq!(
+            client::post(addr, "/compile", PROGRAM.as_bytes(), TIMEOUT)
+                .unwrap()
+                .status,
+            200
+        );
+    }
+    // A client gets its answer before the server records the write.
+    let give_up = Instant::now() + TIMEOUT;
+    let text = loop {
+        let text = metrics_text(&server);
+        if scrape_counter(&text, "lc_stage_write_count") >= Some(6) {
+            break text;
+        }
+        assert!(Instant::now() < give_up, "writes never recorded:\n{text}");
+        std::thread::sleep(Duration::from_millis(1));
+    };
+    let scrapes = scrape_counter(&text, "lc_stage_dispatch_count").unwrap() - 6;
+    assert!(scrapes >= 1);
+    assert_eq!(
+        scrape_counter(&text, "lc_stage_read_count"),
+        Some(6 + scrapes)
+    );
+    // Every earlier answer was handled before it was written, but an
+    // earlier scrape's thread may not have recorded its write yet.
+    let handled = 6 + scrapes - 1;
+    assert_eq!(
+        scrape_counter(&text, "lc_stage_handle_count"),
+        Some(handled)
+    );
+    let written = scrape_counter(&text, "lc_stage_write_count").unwrap();
+    assert!((6..=handled).contains(&written), "{written} of {handled}");
+    for stage in ["dispatch", "read", "handle", "write"] {
+        for q in ["p50", "p95", "p99"] {
+            let name = format!("lc_stage_{stage}_{q}_micros");
+            assert!(scrape_counter(&text, &name).unwrap() >= 1, "{name}");
+        }
+    }
+    server.shutdown();
+}
+
+/// A visible-ASCII `X-Request-Id` comes back on the answer; a value with
+/// a CR in it (or none at all) leaves the answer exactly as it would be
+/// without the header.
+#[test]
+fn request_ids_are_echoed_only_when_safe() {
+    let server = facade_server(|_| {});
+    let addr = server.addr();
+    let healthz = |id: Option<&str>| {
+        let mut request = String::from("GET /healthz HTTP/1.1\r\n");
+        if let Some(id) = id {
+            request.push_str(&format!("x-request-id: {id}\r\n"));
+        }
+        request.push_str("\r\n");
+        raw_read_to_eof(addr, request.as_bytes(), None).0
+    };
+    let plain = healthz(None);
+    let plain_text = String::from_utf8(plain.clone()).unwrap();
+    assert!(!plain_text.contains("x-request-id"));
+    let echoed = String::from_utf8(healthz(Some("req-7f3a"))).unwrap();
+    assert_eq!(
+        echoed,
+        plain_text.replace("content-length", "x-request-id: req-7f3a\r\ncontent-length")
+    );
+    for unsafe_id in ["a\rHTTP/1.1 500 Boom", "\u{7f}", &"r".repeat(129)] {
+        assert_eq!(healthz(Some(unsafe_id)), plain, "{unsafe_id:?}");
+    }
+    let resp = client::request(
+        addr,
+        "POST",
+        "/compile",
+        &[("X-Request-Id", "batch-1/item-2")],
+        PROGRAM.as_bytes(),
+        TIMEOUT,
+    )
+    .unwrap();
+    assert_eq!(resp.header("x-request-id"), Some("batch-1/item-2"));
+    server.shutdown();
+}
