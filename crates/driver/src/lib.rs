@@ -257,19 +257,6 @@ impl Driver {
         })
     }
 
-    /// Fallible counterpart of [`Driver::new`]: build the pipeline from
-    /// `options.pass_order` (falling back to
-    /// [`pipeline::DEFAULT_PASS_ORDER`]), reporting unknown pass names
-    /// instead of panicking.
-    pub fn try_new(options: DriverOptions) -> std::result::Result<Self, String> {
-        let order: Vec<String> = match &options.pass_order {
-            Some(o) => o.clone(),
-            None => DEFAULT_PASS_ORDER.iter().map(|s| s.to_string()).collect(),
-        };
-        let names: Vec<&str> = order.iter().map(String::as_str).collect();
-        Driver::with_pipeline(options, &names)
-    }
-
     /// Names of the configured pipeline's passes, in order.
     pub fn pass_names(&self) -> Vec<&'static str> {
         self.manager.pass_names()

@@ -115,15 +115,6 @@ impl PipelineTrace {
             .collect()
     }
 
-    /// Total time spent in a pass (nanoseconds) across all nests.
-    pub fn pass_nanos(&self, pass: &str) -> u64 {
-        self.events
-            .iter()
-            .filter(|e| e.pass == pass)
-            .map(|e| e.nanos)
-            .sum()
-    }
-
     /// Render a human-readable report: one line per event plus per-pass
     /// and cache summaries.
     pub fn report(&self) -> String {
@@ -151,13 +142,13 @@ impl PipelineTrace {
         }
         let _ = writeln!(out, "per-pass totals:");
         for (pass, rewrites) in self.pass_rewrites() {
-            let _ = writeln!(
-                out,
-                "  {:<16} {:>10}ns  {} rewrites",
-                pass,
-                self.pass_nanos(pass),
-                rewrites
-            );
+            let nanos: u64 = self
+                .events
+                .iter()
+                .filter(|e| e.pass == pass)
+                .map(|e| e.nanos)
+                .sum();
+            let _ = writeln!(out, "  {pass:<16} {nanos:>10}ns  {rewrites} rewrites");
         }
         let c = &self.cache;
         let _ = writeln!(

@@ -5,8 +5,8 @@
 //! ([`http`]), a bounded job queue with explicit load shedding
 //! ([`queue`]), a sharded content-addressed LRU compile cache
 //! ([`cache`]), lock-free metrics with log-linear latency histograms
-//! ([`metrics`]), an elastic set of parked connection threads
-//! ([`conns`]), and the server itself ([`server`]) — a fixed pool of
+//! ([`metrics`]), and the server itself ([`server`]) — elastic
+//! connection threads that accept for themselves, and a fixed pool of
 //! compile workers sharing one [`lc_driver::Driver`].
 //!
 //! # Endpoints
@@ -23,13 +23,13 @@
 //! # Semantics worth knowing
 //!
 //! * **Connection threads** — each connection is served start to finish
-//!   by one thread, which then parks for the next connection instead of
-//!   exiting. The acceptor hands a new connection to a parked thread and
-//!   spawns one only when none is parked, so no connection waits behind
-//!   another; at most `workers + queue_capacity` threads stay parked.
-//!   `/metrics` counts `lc_conn_threads_spawned_total`,
+//!   by one thread, which then calls `accept` again instead of exiting;
+//!   there is no acceptor thread. A thread whose `accept` returns while
+//!   no other waits spawns one more before serving, so no connection
+//!   waits behind another; at most `workers + queue_capacity` threads
+//!   wait in `accept`. `/metrics` counts `lc_conn_threads_spawned_total`,
 //!   `lc_conn_threads_reused_total` and the `lc_conn_threads_parked`
-//!   gauge.
+//!   gauge (threads waiting in `accept`).
 //! * **Caching** — `/compile` responses are cached by FNV-1a over the
 //!   driver-options fingerprint and the source text. Hits are answered
 //!   on the connection thread (never touching queue or workers) and are
@@ -45,8 +45,9 @@
 //!   the configured default). A job still queued past its deadline is
 //!   answered `503` without being compiled.
 //! * **Drain** — `POST /shutdown` (or [`server::Server::begin_shutdown`])
-//!   closes the queue and stops the acceptor: queued jobs still
-//!   complete, new work gets `503`, parked connection threads exit, and
+//!   closes the queue and wakes every thread waiting in `accept` to
+//!   exit: queued jobs still complete, new work gets `503`, the
+//!   listening socket closes with the last connection thread, and
 //!   [`server::Server::join`] returns once in-flight requests are
 //!   answered.
 //!
@@ -77,7 +78,6 @@
 
 pub mod cache;
 pub mod client;
-pub mod conns;
 pub mod corpus;
 pub mod http;
 pub mod loadgen;

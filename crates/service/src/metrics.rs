@@ -13,7 +13,18 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use crate::cache::CacheCounters;
-use crate::conns::ConnCounters;
+
+/// Snapshot of the connection-thread counters, rendered into `/metrics`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ConnCounters {
+    /// Connection threads spawned: one at start, then one whenever a
+    /// thread accepts while no other waits in `accept`.
+    pub spawned: u64,
+    /// Connections accepted by a thread that had already served one.
+    pub reused: u64,
+    /// Threads currently waiting in `accept` (gauge).
+    pub parked: u64,
+}
 
 /// Log-linear histogram: 4 linear sub-buckets per power of two, covering
 /// 1µs .. ~68s of latency. Good enough for p50/p95/p99 at ~19% error.
@@ -370,21 +381,21 @@ impl Metrics {
         add(
             &mut out,
             "lc_conn_threads_spawned_total",
-            "Connection threads spawned because none was parked",
+            "Connection threads spawned because none was waiting in accept",
             "counter",
             conns.spawned,
         );
         add(
             &mut out,
             "lc_conn_threads_reused_total",
-            "Connections handed to a parked connection thread",
+            "Connections accepted by a thread that had already served one",
             "counter",
             conns.reused,
         );
         add(
             &mut out,
             "lc_conn_threads_parked",
-            "Connection threads parked waiting for a connection",
+            "Connection threads waiting in accept",
             "gauge",
             conns.parked,
         );

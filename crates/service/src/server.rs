@@ -1,23 +1,24 @@
-//! The compile server: acceptor, connection threads, and a fixed pool
-//! of compile workers behind a bounded queue.
+//! The compile server: connection threads that accept for themselves,
+//! and a fixed pool of compile workers behind a bounded queue.
 //!
 //! ```text
-//!                    ┌──────────────────┐  try_push   ┌──────────────┐   pop
-//!  TCP ── accept ───▶│ connection       │────────────▶│ BoundedQueue │────────▶ workers
-//!   hand off to a    │ threads (elastic;│◀────────────│  (backpress) │          (N fixed)
-//!   parked thread,   │ park after each  │  reply chan └──────────────┘
-//!   else spawn one   │ answer)          │
-//!                    └──────────────────┘
-//!                       │  ▲
-//!                cache get  cache insert (workers)
+//!        ┌──────────────────────┐  try_push   ┌──────────────┐   pop
+//!  TCP ─▶│ connection threads   │────────────▶│ BoundedQueue │────────▶ workers
+//!        │ (elastic; each loops │◀────────────│  (backpress) │          (N fixed)
+//!        │ accept → serve)      │  reply chan └──────────────┘
+//!        └──────────────────────┘
+//!           │  ▲
+//!    cache get  cache insert (workers)
 //! ```
 //!
-//! * A connection thread serves one connection at a time and then parks
-//!   ([`crate::conns`]); the acceptor hands each new connection to a
-//!   parked thread, and spawns a thread only when none is parked. So no
-//!   connection waits behind another, and the per-request cost of thread
-//!   creation is paid only when the number of connections in flight
-//!   grows. At most `workers + queue_capacity` threads stay parked.
+//! * Each connection thread owns a handle of the listening socket and
+//!   loops: accept, serve, accept again (leader/followers). A thread
+//!   whose `accept` returns while no other thread waits in `accept`
+//!   spawns one more before it serves, so no connection waits behind
+//!   another, and thread creation is paid only when the number of
+//!   connections in flight grows. At most `workers + queue_capacity`
+//!   threads wait in `accept`; a thread that finishes while that many
+//!   wait exits.
 //! * Cache hits are answered directly on the connection thread — they
 //!   never consume a queue slot or a worker. So is `/analyze`. A hit is
 //!   written from the cache's own envelope, not a copy.
@@ -35,14 +36,15 @@
 //!   closed queue `503` (draining).
 //! * Every job carries a deadline; a worker that pops an expired job
 //!   answers `503` without compiling it.
-//! * `POST /shutdown` closes the queue, stops the acceptor (which sends
-//!   every parked connection thread home), and lets in-flight work
-//!   finish — [`Server::join`] returns once drained.
+//! * `POST /shutdown` closes the queue and wakes every thread waiting in
+//!   `accept` to exit; the listening socket closes with the last
+//!   thread's handle, and in-flight work finishes — [`Server::join`]
+//!   returns once drained.
 
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, RecvTimeoutError, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -52,10 +54,12 @@ use lc_driver::json::{Json, JsonWriter};
 use lc_driver::{BatchItem, Driver, DriverOptions, DriverOutput};
 
 use crate::cache::{fnv1a_parts, ShardedLru};
-use crate::conns::ParkedThreads;
 use crate::http::{read_request, ReadError, Request, Response};
-use crate::metrics::Metrics;
+use crate::metrics::{ConnCounters, Metrics};
 use crate::queue::{BoundedQueue, PushError};
+
+/// Compile-cache shards (lock granularity).
+const CACHE_SHARDS: usize = 8;
 
 /// Everything tunable about a server instance.
 #[derive(Debug, Clone)]
@@ -66,8 +70,6 @@ pub struct ServiceConfig {
     pub queue_capacity: usize,
     /// Total compile-cache entries.
     pub cache_capacity: usize,
-    /// Cache shards (lock granularity).
-    pub cache_shards: usize,
     /// Largest accepted request body.
     pub max_body_bytes: usize,
     /// Deadline applied when the client sends no `X-Deadline-Ms`.
@@ -88,7 +90,6 @@ impl Default for ServiceConfig {
             workers: 4,
             queue_capacity: 64,
             cache_capacity: 256,
-            cache_shards: 8,
             max_body_bytes: 1024 * 1024,
             default_deadline: Duration::from_secs(10),
             read_timeout: Duration::from_secs(10),
@@ -118,38 +119,56 @@ struct Shared {
     fingerprint: String,
     cache: ShardedLru<Vec<u8>>,
     queue: BoundedQueue<Job>,
-    /// Accepted connections, each with the instant it was accepted.
-    conns: ParkedThreads<(TcpStream, Instant)>,
     metrics: Metrics,
     draining: AtomicBool,
     active_conns: AtomicUsize,
+    /// Connection threads registered as waiting in `accept`.
+    accepting: AtomicUsize,
+    /// Most threads that may wait in `accept`: as many connections as
+    /// can be blocked on compile work at once without being shed, one
+    /// per worker and queue slot.
+    max_accepting: usize,
+    /// Connection threads spawned.
+    conn_spawned: AtomicU64,
+    /// Connections accepted by a thread that had already served one.
+    conn_reused: AtomicU64,
     addr: SocketAddr,
+}
+
+impl Shared {
+    fn conn_counters(&self) -> ConnCounters {
+        ConnCounters {
+            spawned: self.conn_spawned.load(Ordering::Relaxed),
+            reused: self.conn_reused.load(Ordering::Relaxed),
+            parked: self.accepting.load(Ordering::Relaxed) as u64,
+        }
+    }
 }
 
 /// A running compile server bound to a local address.
 pub struct Server {
     shared: Arc<Shared>,
-    acceptor: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
 
 impl Server {
     /// Bind `bind_addr` (e.g. `127.0.0.1:0`), spawn the worker pool and
-    /// the acceptor, and return immediately.
+    /// the first connection thread, and return immediately.
     pub fn start(config: ServiceConfig, bind_addr: &str) -> std::io::Result<Server> {
         let listener = TcpListener::bind(bind_addr)?;
         let addr = listener.local_addr()?;
         let driver = Driver::new(config.driver.clone());
         let fingerprint = config.driver.fingerprint();
         let shared = Arc::new(Shared {
-            cache: ShardedLru::new(config.cache_capacity, config.cache_shards),
+            cache: ShardedLru::new(config.cache_capacity, CACHE_SHARDS),
             queue: BoundedQueue::new(config.queue_capacity),
-            // As many connections as can be blocked on compile work at
-            // once without being shed: one per worker and queue slot.
-            conns: ParkedThreads::new(config.workers.max(1) + config.queue_capacity.max(1)),
             metrics: Metrics::default(),
             draining: AtomicBool::new(false),
             active_conns: AtomicUsize::new(0),
+            accepting: AtomicUsize::new(0),
+            max_accepting: config.workers.max(1) + config.queue_capacity.max(1),
+            conn_spawned: AtomicU64::new(0),
+            conn_reused: AtomicU64::new(0),
             addr,
             driver,
             fingerprint,
@@ -165,20 +184,9 @@ impl Server {
                     .expect("spawn worker")
             })
             .collect();
+        spawn_conn_thread(&shared, listener)?;
 
-        let acceptor = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("lc-acceptor".to_string())
-                .spawn(move || accept_loop(&listener, &shared))
-                .expect("spawn acceptor")
-        };
-
-        Ok(Server {
-            shared,
-            acceptor: Some(acceptor),
-            workers,
-        })
+        Ok(Server { shared, workers })
     }
 
     /// The bound address (useful with port 0).
@@ -191,19 +199,20 @@ impl Server {
         begin_drain(&self.shared);
     }
 
-    /// Wait until the server has fully drained: acceptor stopped, queue
-    /// empty, workers exited, in-flight connections answered.
+    /// Wait until the server has fully drained: queue empty, workers
+    /// exited, no thread waiting in `accept`, in-flight connections
+    /// answered.
     pub fn join(mut self) {
-        if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
-        }
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
         // Connection threads detach; wait (bounded) for the last replies
         // to flush.
         let gone = Instant::now() + Duration::from_secs(10);
-        while self.shared.active_conns.load(Ordering::Acquire) > 0 && Instant::now() < gone {
+        while (self.shared.accepting.load(Ordering::SeqCst) > 0
+            || self.shared.active_conns.load(Ordering::Acquire) > 0)
+            && Instant::now() < gone
+        {
             std::thread::sleep(Duration::from_millis(1));
         }
     }
@@ -220,43 +229,80 @@ fn begin_drain(shared: &Shared) {
         return; // already draining
     }
     shared.queue.close();
-    // Poke the blocking `accept` so the acceptor observes `draining`.
-    let _ = TcpStream::connect(shared.addr);
-}
-
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    for stream in listener.incoming() {
-        if shared.draining.load(Ordering::SeqCst) {
-            break;
+    // Poke each thread blocked in `accept` with a connection of our own,
+    // so it observes `draining` and exits; a thread that registers as
+    // waiting after the swap above sees `draining` itself. Spare pokes
+    // wait in the backlog until the last handle closes the socket.
+    loop {
+        let waiting = shared.accepting.load(Ordering::SeqCst);
+        if waiting == 0 {
+            return;
         }
-        let Ok(stream) = stream else { continue };
-        shared.active_conns.fetch_add(1, Ordering::AcqRel);
-        shared.conns.dispatch((stream, Instant::now()), |first| {
-            spawn_conn_thread(shared, first)
-        });
+        for _ in 0..waiting {
+            if TcpStream::connect(shared.addr).is_err() {
+                return;
+            }
+        }
+        std::thread::sleep(Duration::from_millis(1));
     }
-    shared.conns.close();
 }
 
-/// Start a connection thread for `first`: it serves one connection at a
-/// time and parks in between, until [`ParkedThreads::park`] says exit.
-fn spawn_conn_thread(shared: &Arc<Shared>, first: (TcpStream, Instant)) {
+/// Start a connection thread on its own handle of the listening socket.
+fn spawn_conn_thread(shared: &Arc<Shared>, listener: TcpListener) -> std::io::Result<()> {
     let own = Arc::clone(shared);
-    let serve = move || {
-        let mut next = Some(first);
-        while let Some((stream, accepted)) = next {
-            handle_connection(&stream, accepted, &own);
-            // Close before parking: the client waits for EOF.
-            drop(stream);
-            own.active_conns.fetch_sub(1, Ordering::AcqRel);
-            next = own.conns.park();
-        }
-    };
-    let spawned = std::thread::Builder::new()
+    std::thread::Builder::new()
         .name("lc-conn".to_string())
-        .spawn(serve);
-    if spawned.is_err() {
-        // The connection was dropped unanswered with the closure.
+        .spawn(move || conn_loop(&listener, &own))?;
+    shared.conn_spawned.fetch_add(1, Ordering::Relaxed);
+    Ok(())
+}
+
+/// A connection thread: accept, serve, accept again, until the server
+/// drains or enough other threads already wait in `accept`.
+fn conn_loop(listener: &TcpListener, shared: &Arc<Shared>) {
+    let mut served = false;
+    // Register as waiting in `accept`, unless enough threads already do.
+    while shared
+        .accepting
+        .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
+            (n < shared.max_accepting).then_some(n + 1)
+        })
+        .is_ok()
+    {
+        // Checked after registering, both SeqCst: either this sees the
+        // drain, or `begin_drain` sees this thread waiting and pokes it.
+        let accepted = if shared.draining.load(Ordering::SeqCst) {
+            None
+        } else {
+            listener.accept().ok()
+        };
+        let accepted_at = Instant::now();
+        let draining = shared.draining.load(Ordering::SeqCst);
+        if accepted.is_some() && !draining {
+            // Counted before leaving `accepting`, so `join` cannot miss
+            // the connection between the two.
+            shared.active_conns.fetch_add(1, Ordering::AcqRel);
+        }
+        let others_waiting = shared.accepting.fetch_sub(1, Ordering::SeqCst) > 1;
+        if draining {
+            return; // drops a poke, or refuses a late client
+        }
+        let Some((stream, _)) = accepted else {
+            continue;
+        };
+        if served {
+            shared.conn_reused.fetch_add(1, Ordering::Relaxed);
+        }
+        served = true;
+        if !others_waiting {
+            // If this fails, the next connection waits for this one.
+            if let Ok(handle) = listener.try_clone() {
+                let _ = spawn_conn_thread(shared, handle);
+            }
+        }
+        handle_connection(&stream, accepted_at, shared);
+        // Close before accepting again: the client waits for EOF.
+        drop(stream);
         shared.active_conns.fetch_sub(1, Ordering::AcqRel);
     }
 }
@@ -388,7 +434,7 @@ fn route(shared: &Shared, req: Request) -> Response<Body> {
             200,
             shared.metrics.render(
                 shared.cache.counters(),
-                shared.conns.counters(),
+                shared.conn_counters(),
                 shared.queue.len(),
                 shared.config.workers.max(1),
             ),
@@ -715,13 +761,16 @@ mod tests {
         }
     }
 
-    /// Sequential connections are all served by the one thread spawned
-    /// for the first. The test waits for that thread to park before each
-    /// next request: a client that reconnects at once can beat the
-    /// previous thread to `park`, and then a second thread is spawned.
-    /// Once drained, every thread has exited and dropped its `Shared`.
+    /// Sequential connections are served by two threads: the one spawned
+    /// at start, and the one it spawns on accepting the first connection
+    /// while no other thread waits. The test waits for both to wait in
+    /// `accept` before each next request, so no later accept spawns. The
+    /// kernel wakes blocked `accept` calls in the order they blocked, so
+    /// the second connection is the second thread's first, and the 19
+    /// after it are reuses. Once drained, every thread has exited and
+    /// dropped its `Shared`.
     #[test]
-    fn sequential_requests_reuse_one_parked_thread_until_drain() {
+    fn sequential_requests_reuse_connection_threads_until_drain() {
         let server = Server::start(ServiceConfig::default(), "127.0.0.1:0").expect("bind loopback");
         let shared = Arc::clone(&server.shared);
         let addr = server.addr();
@@ -733,23 +782,70 @@ mod tests {
                 client::get(addr, "/healthz", TIMEOUT)
             };
             assert_eq!(resp.expect("request").status, 200, "request {k}");
-            wait_until("the thread to park", || shared.conns.counters().parked == 1);
+            wait_until("both threads to wait in accept", || {
+                shared.conn_counters().parked == 2
+            });
         }
         let text = client::get(addr, "/metrics", TIMEOUT)
             .expect("GET /metrics")
             .body_text();
         assert_eq!(
             scrape_counter(&text, "lc_conn_threads_spawned_total"),
-            Some(1)
+            Some(2)
         );
         assert_eq!(
             scrape_counter(&text, "lc_conn_threads_reused_total"),
-            Some(20)
+            Some(19)
         );
-        assert_eq!(scrape_counter(&text, "lc_conn_threads_parked"), Some(0));
+        assert_eq!(scrape_counter(&text, "lc_conn_threads_parked"), Some(1));
 
         server.shutdown();
         wait_until("every thread to exit", || Arc::strong_count(&shared) == 1);
-        assert_eq!(shared.conns.counters().parked, 0);
+        assert_eq!(shared.conn_counters().parked, 0);
+    }
+
+    /// Concurrent connections grow the set of connection threads, but
+    /// once answered, at most `workers + queue_capacity` (here 2) wait in
+    /// `accept` and the rest exit; after shutdown none is left.
+    #[test]
+    fn threads_beyond_the_accept_bound_exit_and_drain_leaves_none() {
+        let config = ServiceConfig {
+            workers: 1,
+            queue_capacity: 1,
+            synthetic_delay: Some(Duration::from_millis(200)),
+            ..ServiceConfig::default()
+        };
+        let server = Server::start(config, "127.0.0.1:0").expect("bind loopback");
+        let shared = Arc::clone(&server.shared);
+        let addr = server.addr();
+        let clients: Vec<_> = (0..6)
+            .map(|k| {
+                std::thread::spawn(move || {
+                    let program = format!("array A[4];\ndoall i = 1..4 {{ A[i] = i + {k}; }}");
+                    client::post(addr, "/compile", program.as_bytes(), TIMEOUT)
+                        .expect("POST /compile")
+                        .status
+                })
+            })
+            .collect();
+        for client in clients {
+            let status = client.join().unwrap();
+            assert!(status == 200 || status == 429, "status {status}");
+            let text = client::get(addr, "/metrics", TIMEOUT)
+                .expect("GET /metrics")
+                .body_text();
+            let parked = scrape_counter(&text, "lc_conn_threads_parked").unwrap();
+            assert!(parked <= 2, "{parked} threads waiting in accept");
+        }
+        assert!(shared.conn_counters().spawned > 2);
+        // Left: this handle, the server's, the one worker's and the two
+        // threads' in `accept`.
+        wait_until("the threads beyond the bound to exit", || {
+            shared.conn_counters().parked == 2 && Arc::strong_count(&shared) == 5
+        });
+
+        server.shutdown();
+        wait_until("every thread to exit", || Arc::strong_count(&shared) == 1);
+        assert_eq!(shared.conn_counters().parked, 0);
     }
 }

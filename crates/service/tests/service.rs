@@ -266,11 +266,19 @@ fn shutdown_drains_in_flight_requests() {
     assert_eq!(bye.status, 200);
     // ...the in-flight request still completes with its real answer.
     assert_eq!(in_flight.join().unwrap().unwrap(), 200);
-    // New work is refused (connect may also fail once the acceptor is
-    // gone; both count as refusal).
+    // New work is refused promptly: a 503, or a connection error once no
+    // thread accepts any more. Waiting out the client's own timeout
+    // would mean the listening socket was left open with nobody
+    // accepting.
+    let asked = Instant::now();
     if let Ok(resp) = client::post(addr, "/compile", PROGRAM.as_bytes(), TIMEOUT) {
         assert_eq!(resp.status, 503, "draining server must refuse new work");
     }
+    let waited = asked.elapsed();
+    assert!(
+        waited < Duration::from_secs(2),
+        "refusing new work took {waited:?}"
+    );
     server.join();
 }
 
